@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .algebra import AbelianInvariants, h1_of_chain_complex, h1_with_coefficients
+from .algebra import AbelianInvariants, h1_of_chain_complex, mod_p_dimension
 from .blocks import (
     FIVE_TET_PATTERN,
     BlockKind,
@@ -27,17 +28,15 @@ from .blocks import (
     select_block,
 )
 from .cube_complex import (
-    ALREADY_ORIENTABLE,
     CubeGluing,
     build_quotient,
-    cone_subdivide,
     is_closed_manifold,
     orientation_double_cover,
     parse_gluing_text,
     quotient_chain_complex,
     quotient_is_orientable,
 )
-from .enumeration import canonical_form, enumerate_canonical
+from .enumeration import CanonicalGluing, canonical_form, enumerate_canonical
 
 IMPORTED_FACTS = (
     "imported classification facts (external results, not verified here):",
@@ -69,26 +68,19 @@ class Fingerprint:
         return ", ".join(parts)
 
 
-def quotient_homology(gluing: CubeGluing):
-    q = build_quotient(gluing.to_spec())
-    d2, d1 = quotient_chain_complex(q)
-    return (h1_of_chain_complex(d2, d1),
-            h1_with_coefficients(d2, d1, 2),
-            h1_with_coefficients(d2, d1, 3))
+def _cell_h1(spec) -> AbelianInvariants:
+    return h1_of_chain_complex(*quotient_chain_complex(build_quotient(spec)))
 
 
 def compute_fingerprint(gluing: CubeGluing) -> Fingerprint:
     """Fingerprint of a closed-manifold gluing; homology is taken from the
-    quotient cell complex and orientability from the assembled block
+    quotient cell complex, the Z/2 and Z/3 dimensions from integral H1 by
+    universal coefficients, and orientability from the assembled block
     triangulation."""
-    h1, m2, m3 = quotient_homology(gluing)
+    h1 = _cell_h1(gluing.to_spec())
     orientable = assemble_triangulation(gluing).is_orientable()
-    cover_h1 = None
-    if not orientable:
-        cover = orientation_double_cover(gluing.to_spec())
-        cq = build_quotient(cover)
-        cover_h1 = h1_of_chain_complex(*quotient_chain_complex(cq))
-    return Fingerprint(orientable, h1, m2, m3, cover_h1)
+    cover_h1 = None if orientable else _cell_h1(orientation_double_cover(gluing.to_spec()))
+    return Fingerprint(orientable, h1, mod_p_dimension(h1, 2), mod_p_dimension(h1, 3), cover_h1)
 
 
 # -- reference manifolds -------------------------------------------------------
@@ -169,10 +161,10 @@ class ClassReport:
     tet_count: int | None
     valences: tuple[int, ...] | None
     orientable: bool | None
-    h1: str | None
+    h1: AbelianInvariants | None
     h1_mod2: int | None
     h1_mod3: int | None
-    double_cover_h1: str | None
+    double_cover_h1: AbelianInvariants | None
     double_cover_orientable: bool | None
     double_cover_euler: int | None
     reference: str | None
@@ -188,10 +180,10 @@ class ClassReport:
             "tetCount": self.tet_count,
             "valences": list(self.valences) if self.valences is not None else None,
             "orientable": self.orientable,
-            "h1": self.h1,
+            "h1": _str_or_none(self.h1),
             "h1mod2": self.h1_mod2,
             "h1mod3": self.h1_mod3,
-            "doubleCoverH1": self.double_cover_h1,
+            "doubleCoverH1": _str_or_none(self.double_cover_h1),
             "doubleCoverOrientable": self.double_cover_orientable,
             "doubleCoverEuler": self.double_cover_euler,
             "reference": self.reference,
@@ -200,44 +192,27 @@ class ClassReport:
     def fingerprint(self) -> Fingerprint | None:
         if not self.manifold:
             return None
-        return Fingerprint(
-            self.orientable,
-            _parse_invariants(self.h1),
-            self.h1_mod2,
-            self.h1_mod3,
-            _parse_invariants(self.double_cover_h1) if self.double_cover_h1 else None,
-        )
+        return Fingerprint(self.orientable, self.h1, self.h1_mod2, self.h1_mod3,
+                           self.double_cover_h1)
 
 
-def _parse_invariants(text: str) -> AbelianInvariants:
-    rank = 0
-    torsion = []
-    if text != "0":
-        for part in text.split(" + "):
-            if part == "Z":
-                rank += 1
-            elif part.startswith("Z^"):
-                rank += int(part[2:])
-            elif part.startswith("Z/"):
-                torsion.append(int(part[2:]))
-            else:
-                raise ValueError(f"bad invariant string {text!r}")
-    return AbelianInvariants(rank, tuple(torsion))
+def _str_or_none(value) -> str | None:
+    return None if value is None else str(value)
 
 
-def classify(gluing: CubeGluing, orbit_size: int | None = None,
+def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None,
              references: tuple[ReferenceEntry, ...] | None = None) -> ClassReport:
-    """Report row for one gluing (identified by its symmetry class)."""
-    canon = canonical_form(gluing)
-    if orbit_size is None:
-        orbit_size = canon.orbit_size
+    """Report row for one gluing, identified by its symmetry class `canon`
+    (computed from the gluing when not given)."""
+    if canon is None:
+        canon = canonical_form(gluing)
     if references is None:
         references = reference_table()
     choice = select_block(gluing)
     check = is_closed_manifold(gluing.to_spec())
     base = dict(
         class_id=canon.class_id,
-        orbit_size=orbit_size,
+        orbit_size=canon.orbit_size,
         manifold=check.ok,
         diagnostic=check.diagnostic,
         mismatch_count=mismatch_report(gluing, FIVE_TET_PATTERN).mismatch_count,
@@ -255,15 +230,15 @@ def classify(gluing: CubeGluing, orbit_size: int | None = None,
     if not fp.orientable:
         cover = orientation_double_cover(gluing.to_spec())
         cover_orient = quotient_is_orientable(cover)
-        cover_euler = cone_subdivide(cover).euler_characteristic()
+        cover_euler = build_quotient(cover).euler_characteristic()
     base.update(
         tet_count=tri.tet_count,
         valences=tuple(sorted(o.valence for o in tri.edge_orbits)),
         orientable=fp.orientable,
-        h1=str(fp.h1),
+        h1=fp.h1,
         h1_mod2=fp.h1_mod2,
         h1_mod3=fp.h1_mod3,
-        double_cover_h1=str(fp.double_cover_h1) if fp.double_cover_h1 is not None else None,
+        double_cover_h1=fp.double_cover_h1,
         double_cover_orientable=cover_orient,
         double_cover_euler=cover_euler,
         reference=matches[0] if matches else None,
@@ -290,21 +265,21 @@ class CensusReport:
     summary: CensusSummary
 
 
-def _classify_worker(args):
-    text, orbit_size = args
-    return classify(parse_gluing_text(text), orbit_size)
+def _classify_worker(canon: CanonicalGluing) -> ClassReport:
+    return classify(canon.gluing, canon)
 
 
 def run_census(opposite_only: bool = False, jobs: int = 1) -> CensusReport:
-    """Classify every canonical class, in class-id order."""
+    """Classify every canonical class, in class-id order, with at most
+    `jobs` worker processes and never more than the CPU count."""
     classes = enumerate_canonical(opposite_only)
-    tasks = [(c.class_id, c.orbit_size) for c in classes]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_classify_worker, tasks, chunksize=8))
+            rows = list(pool.map(_classify_worker, classes, chunksize=8))
     else:
         references = reference_table()
-        rows = [classify(c.gluing, c.orbit_size, references) for c in classes]
+        rows = [classify(c.gluing, c, references) for c in classes]
     rows.sort(key=lambda r: r.class_id)
     return CensusReport(opposite_only, tuple(rows), _summarise(rows))
 
@@ -451,7 +426,7 @@ def render_text(report: CensusReport) -> str:
                 f" | tets {row.tet_count}"
                 f" | {'orientable' if row.orientable else 'NON-orientable'}"
                 f" | H1 {row.h1} | mod2 {row.h1_mod2} | mod3 {row.h1_mod3}"
-                + (f" | coverH1 {row.double_cover_h1}" if row.double_cover_h1 else "")
+                + (f" | coverH1 {row.double_cover_h1}" if row.double_cover_h1 is not None else "")
                 + f" | ref {ref}")
         else:
             lines.append(

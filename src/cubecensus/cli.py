@@ -36,6 +36,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _job_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number N >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cubecensus",
                      description="census of closed 3-manifolds glued from one cube")
@@ -44,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_input=False):
         p.add_argument("--opposite-only", action="store_true",
                        help="restrict to gluings pairing opposite faces")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="parallel classification workers")
+        p.add_argument("--jobs", type=_job_count, default=1, metavar="N",
+                       help="parallel classification workers (N >= 1, capped at the CPU count)")
         p.add_argument("--format", choices=("text", "records"), default="text",
                        help="human-readable text or one JSON record per line")
         if with_input:

@@ -1,9 +1,18 @@
 """Census pipeline: references, classification rows, verification logic."""
 
 import dataclasses
+import hashlib
+import os
 
 import pytest
 
+from cubecensus import census
+from cubecensus.algebra import (
+    AbelianInvariants,
+    h1_of_chain_complex,
+    h1_with_coefficients,
+    mod_p_dimension,
+)
 from cubecensus.census import (
     Fingerprint,
     classify,
@@ -14,7 +23,15 @@ from cubecensus.census import (
     run_census,
     verify_theorem,
 )
-from cubecensus.cube_complex import is_closed_manifold, parse_gluing_text, quotient_is_orientable
+from cubecensus.cube_complex import (
+    build_quotient,
+    cone_subdivide,
+    is_closed_manifold,
+    orientation_double_cover,
+    parse_gluing_text,
+    quotient_chain_complex,
+    quotient_is_orientable,
+)
 from cubecensus.enumeration import canonical_form
 
 T3 = "+x -x r0 / +y -y r0 / +z -z r0"
@@ -49,7 +66,7 @@ def test_reference_fingerprint_values():
 def test_classify_t3():
     row = classify(parse_gluing_text(T3))
     assert row.manifold and row.orientable
-    assert row.h1 == "Z^3"
+    assert row.h1 == AbelianInvariants(3, ())
     assert row.h1_mod2 == 3 and row.h1_mod3 == 3
     assert row.reference is None
     assert row.block_kind == "four-valent"
@@ -60,7 +77,7 @@ def test_classify_k2_matches_reference():
     row = classify(parse_gluing_text(K2XS1))
     assert row.manifold and not row.orientable
     assert row.reference == "K2 x S1"
-    assert row.double_cover_h1 == "Z^3"
+    assert row.double_cover_h1 == AbelianInvariants(3, ())
     assert row.double_cover_orientable and row.double_cover_euler == 0
 
 
@@ -132,10 +149,10 @@ def test_verify_negative_control_extra_class(full_census):
         class_id="synthetic",
         manifold=True,
         orientable=False,
-        h1="Z^9",
+        h1=AbelianInvariants(9, ()),
         h1_mod2=9,
         h1_mod3=9,
-        double_cover_h1="Z^9",
+        double_cover_h1=AbelianInvariants(9, ()),
         double_cover_orientable=True,
         double_cover_euler=0,
         tet_count=6,
@@ -154,7 +171,7 @@ def test_verify_negative_control_perturbed_reference(full_census):
     rows = []
     for row in full_census.rows:
         if row.reference == "K2 x S1":
-            row = dataclasses.replace(row, h1="Z^2 + Z/4", reference=None)
+            row = dataclasses.replace(row, h1=AbelianInvariants(2, (4,)), reference=None)
         rows.append(row)
     doctored = dataclasses.replace(full_census, rows=tuple(rows))
     result = verify_theorem(doctored)
@@ -208,3 +225,58 @@ def test_census_with_workers_matches_sequential():
     seq = run_census(opposite_only=True, jobs=1)
     par = run_census(opposite_only=True, jobs=2)
     assert render_records(seq) == render_records(par)
+
+
+def test_classify_from_class_text_matches_census_rows(full_census):
+    # the census hands each worker its canonical class; classifying the
+    # class text alone recomputes the class and must give the same row
+    for row in full_census.rows:
+        assert classify(parse_gluing_text(row.class_id)) == row, row.class_id
+
+
+def test_records_bytes_are_pinned(full_census):
+    digests = {
+        "full": hashlib.sha256(render_records(full_census).encode()).hexdigest(),
+        "opposite-only": hashlib.sha256(
+            render_records(run_census(opposite_only=True)).encode()).hexdigest(),
+    }
+    assert digests == {
+        "full": "eef20d9443399756aefdc121d9355032690ad8b2fc0d41995efaec86bbdb5401",
+        "opposite-only": "6c3517f1fec1507cef9976409a0715b99d1a3661b9c6ce25e399f2f5313cda05",
+    }
+
+
+def test_run_census_caps_jobs_at_cpu_count(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started on a one-CPU machine")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(census, "ProcessPoolExecutor", no_pool)
+    assert run_census(opposite_only=True, jobs=64).summary.total_classes == 56
+
+
+def test_mod_p_dimensions_agree_with_field_coefficients(manifold_rows):
+    # universal coefficients against a second SNF over Z/p, on every
+    # manifold quotient and every orientation double cover
+    checked = 0
+    for row in manifold_rows:
+        spec = parse_gluing_text(row.class_id).to_spec()
+        specs = [spec] if row.orientable else [spec, orientation_double_cover(spec)]
+        for s in specs:
+            d2, d1 = quotient_chain_complex(build_quotient(s))
+            h1 = h1_of_chain_complex(d2, d1)
+            oracle = tuple(h1_with_coefficients(d2, d1, p) for p in (2, 3))
+            assert (mod_p_dimension(h1, 2), mod_p_dimension(h1, 3)) == oracle, row.class_id
+            if s is spec:
+                assert (row.h1_mod2, row.h1_mod3) == oracle, row.class_id
+            checked += 1
+    assert checked == 56 + 27
+
+
+def test_double_cover_euler_agrees_with_cone_subdivision(manifold_rows):
+    nonor = [row for row in manifold_rows if not row.orientable]
+    assert len(nonor) == 27
+    for row in nonor:
+        cover = orientation_double_cover(parse_gluing_text(row.class_id).to_spec())
+        euler = build_quotient(cover).euler_characteristic()
+        assert euler == cone_subdivide(cover).euler_characteristic() == row.double_cover_euler

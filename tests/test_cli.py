@@ -56,6 +56,16 @@ def test_classify_requires_input(capsys):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_census_rejects_jobs_below_one(capsys, jobs):
+    # parsing fails before any worker could start
+    with pytest.raises(SystemExit) as excinfo:
+        main(["census", "--opposite-only", "--jobs", jobs])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument --jobs: expected a whole number N >= 1, got '{jobs}'" in err
+
+
 def test_enumerate_counts(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--opposite-only")
     assert code == 0

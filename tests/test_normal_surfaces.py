@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from cubecensus.algebra import IntegerMatrix, smith_normal_form
+from cubecensus.algebra import AbelianInvariants, IntegerMatrix, smith_normal_form
 from cubecensus.blocks import assemble_triangulation
 from cubecensus.census import classify, reference_table
 from cubecensus.cube_complex import parse_gluing_text
@@ -22,6 +22,7 @@ from cubecensus.normal_surfaces import (
 
 S2_BUNDLE = "+x -x r1m / +y +z r0 / -y -z r0"  # H1 = Z, five tetrahedra
 RP3_LIKE = "+x -x r2 / +y -y r2 / +z -z r2"  # orientable, H1 = Z/2
+Z = AbelianInvariants(1, ())
 
 
 def tri_of(text):
@@ -130,7 +131,7 @@ def test_checker_rejects_malformed_coordinates():
 
 def test_checker_rejects_one_sided_projective_plane():
     row = classify(parse_gluing_text(RP3_LIKE))
-    assert row.manifold and row.orientable and row.h1 == "Z/2"
+    assert row.manifold and row.orientable and row.h1 == AbelianInvariants(0, (2,))
     tri = tri_of(RP3_LIKE)
     planes = [v for v in vertex_normal_surfaces(tri) if normal_euler_characteristic(tri, v) == 1]
     assert planes
@@ -169,5 +170,5 @@ def test_certificates_cover_exactly_the_unidentified_classes(manifold_rows, p2_c
     assert (len(spheres), len(planes)) == (5, 10)
     # every H1 = Z class carries a non-separating sphere; RP^2 x S^1 has
     # H1 = Z + Z/2 with an H1 = Z double cover
-    assert sum(1 for r in spheres if r.h1 == "Z") == 4
-    assert all((r.h1, r.double_cover_h1) == ("Z + Z/2", "Z") for r in planes)
+    assert sum(1 for r in spheres if r.h1 == Z) == 4
+    assert all((r.h1, r.double_cover_h1) == (AbelianInvariants(1, (2,)), Z) for r in planes)
