@@ -265,8 +265,13 @@ class CensusReport:
     summary: CensusSummary
 
 
-def _classify_worker(canon: CanonicalGluing) -> ClassReport:
-    return classify(canon.gluing, canon)
+def _classify_worker(canon: CanonicalGluing,
+                     references: tuple[ReferenceEntry, ...] | None = None) -> ClassReport:
+    """`classify` for one census class; a failure names the class."""
+    try:
+        return classify(canon.gluing, canon, references)
+    except Exception as exc:
+        raise RuntimeError(f"classifying {canon.class_id}: {exc}") from exc
 
 
 def run_census(opposite_only: bool = False, jobs: int = 1) -> CensusReport:
@@ -279,7 +284,7 @@ def run_census(opposite_only: bool = False, jobs: int = 1) -> CensusReport:
             rows = list(pool.map(_classify_worker, classes, chunksize=8))
     else:
         references = reference_table()
-        rows = [classify(c.gluing, c, references) for c in classes]
+        rows = [_classify_worker(c, references) for c in classes]
     rows.sort(key=lambda r: r.class_id)
     return CensusReport(opposite_only, tuple(rows), _summarise(rows))
 

@@ -426,7 +426,8 @@ def cone_subdivide(spec: CubulationSpec) -> Triangulation:
     endpoints of different kinds, so no edge can be identified with itself
     in reverse and the vertex links detect every non-manifold point of the
     quotient, including those hiding in the middle of identified cube
-    edges.
+    edges.  The census does not use it: it is the independent check of
+    `is_closed_manifold` and of the cube-complex homology.
     """
     nc = spec.cube_count
 
@@ -520,18 +521,76 @@ class ManifoldCheck:
         return self.ok
 
 
+def _first_cone_tets() -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """Within one cube, the first cone tetrahedron (in `cone_subdivide`'s
+    numbering) having each corner as slot 0 and each cube edge as its side."""
+    corner_first: dict[int, int] = {}
+    edge_first: dict[tuple[int, int], int] = {}
+    for face in FACES:
+        chart = CHARTS[face]
+        for k in range(4):
+            for h in (0, 1):
+                tet = (face.index * 4 + k) * 2 + h
+                corner_first.setdefault(chart[(k + h) % 4], tet)
+                edge_first.setdefault(tuple(sorted((chart[k], chart[(k + 1) % 4]))), tet)
+    return corner_first, edge_first
+
+
+_CORNER_FIRST_TET, _EDGE_FIRST_TET = _first_cone_tets()
+
+
 def is_closed_manifold(spec: CubulationSpec) -> ManifoldCheck:
-    """True iff every vertex link of the cone subdivision is a 2-sphere."""
-    tri = cone_subdivide(spec)
-    failing = tri.link_spheres_diagnostic()
-    if failing is None:
+    """True iff every point of the quotient cube complex has a 2-sphere link.
+
+    Square and cube centres always do, so only two kinds of point can fail:
+    the midpoint of an edge orbit reversed onto itself (link RP^2, Euler
+    characteristic 1) and a corner orbit whose link has Euler characteristic
+    other than 2.  The corner link has one triangle per (cube, corner) in
+    the orbit and one vertex per class of directed cube edges leaving it, so
+    its Euler characteristic is vertices minus half the triangles.  Every
+    link is connected, since an orbit is one class of the gluing relation.
+
+    The diagnostic names the failing point as the vertex orbit of the cone
+    subdivision would: orbits numbered by their first (tet, slot) there,
+    the lowest-numbered failure reported.  The cone subdivision itself is
+    the independent oracle for this test.
+    """
+    q = build_quotient(spec)
+    # vertex classes of the cone subdivision, keyed by 4 * tet + slot of
+    # their first (tet, slot); slots 0..3 hold corner, midpoint, square
+    # centre and cube centre
+    corner_key = [4 * 48 * spec.cube_count] * q.vertex_orbit_count
+    triangles = [0] * q.vertex_orbit_count
+    for (cube, corner), o in q.vertex_orbit_of.items():
+        corner_key[o] = min(corner_key[o], 4 * (48 * cube + _CORNER_FIRST_TET[corner]))
+        triangles[o] += 1
+    reversed_orbits = set(q.reversed_edge_orbits)
+    midpoint_key = [4 * 48 * spec.cube_count] * q.edge_orbit_count
+    directions: list[set[int]] = [set() for _ in range(q.vertex_orbit_count)]
+    for (cube, u, v), (e, sign) in q.edge_orbit_of.items():
+        if u < v:
+            midpoint_key[e] = min(midpoint_key[e],
+                                  4 * (48 * cube + _EDGE_FIRST_TET[(u, v)]) + 1)
+        # a reversed edge orbit is one class of directed edges, any other two
+        direction = 2 * e if e in reversed_orbits else 2 * e + (sign > 0)
+        directions[q.vertex_orbit_of[(cube, u)]].add(direction)
+
+    failures = [(key, 1) for e, key in enumerate(midpoint_key) if e in reversed_orbits]
+    for o, key in enumerate(corner_key):
+        euler = len(directions[o]) - triangles[o] // 2
+        if euler != 2:
+            failures.append((key, euler))
+    if not failures:
         return ManifoldCheck(True, "all vertex links are 2-spheres")
-    orbit, euler, connected = failing
-    rep = min((t, v) for (t, v), o in tri.vertex_orbit_index.items() if o == orbit)
-    label = subdivision_vertex_label(spec, *rep)
+    key, euler = min(failures)
+    square_keys = [4 * min(48 * p.slot_a[0] + 8 * p.slot_a[1].index,
+                           48 * p.slot_b[0] + 8 * p.slot_b[1].index) + 2 for p in spec.pairs]
+    cube_keys = [4 * 48 * c + 3 for c in range(spec.cube_count)]
+    orbit = sum(k < key for k in corner_key + midpoint_key + square_keys + cube_keys)
+    label = subdivision_vertex_label(spec, *divmod(key, 4))
     return ManifoldCheck(
         False,
-        f"vertex orbit {orbit} {label}: link euler={euler}, connected={connected}",
+        f"vertex orbit {orbit} {label}: link euler={euler}, connected=True",
     )
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 
 import pytest
 
@@ -280,3 +281,18 @@ def test_double_cover_euler_agrees_with_cone_subdivision(manifold_rows):
         cover = orientation_double_cover(parse_gluing_text(row.class_id).to_spec())
         euler = build_quotient(cover).euler_characteristic()
         assert euler == cone_subdivide(cover).euler_characteristic() == row.double_cover_euler
+
+
+def test_a_failing_class_is_named(monkeypatch):
+    def broken(gluing, canon=None, references=None):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(census, "classify", broken)
+    canon = canonical_form(parse_gluing_text(T3))
+    with pytest.raises(RuntimeError, match=re.escape(f"classifying {canon.class_id}: boom")) as info:
+        census._classify_worker(canon)
+    assert isinstance(info.value.__cause__, ValueError)
+    first = census.enumerate_canonical(True)[0]
+    with pytest.raises(RuntimeError, match=re.escape(f"classifying {first.class_id}: boom")) as info:
+        run_census(True, jobs=1)
+    assert isinstance(info.value.__cause__, ValueError)

@@ -8,6 +8,8 @@ the library.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubecensus.algebra import h1_of_chain_complex
 from cubecensus.cube_complex import (
@@ -17,9 +19,12 @@ from cubecensus.cube_complex import (
     CORNER_COORDS,
     FACES,
     CubeGluing,
+    CubulationSpec,
     Face,
     GluingPair,
     GluingSpecError,
+    ManifoldCheck,
+    SpecPair,
     SquareSymmetry,
     build_quotient,
     cone_subdivide,
@@ -30,8 +35,9 @@ from cubecensus.cube_complex import (
     parse_gluing_text,
     quotient_chain_complex,
     quotient_is_orientable,
+    subdivision_vertex_label,
 )
-from cubecensus.enumeration import enumerate_raw
+from cubecensus.enumeration import enumerate_raw, orbit_of
 
 T3 = "+x -x r0 / +y -y r0 / +z -z r0"
 K2XS1 = "+x -x r1m / +y -y r0 / +z -z r0"
@@ -360,6 +366,90 @@ def test_manifold_iff_zero_euler_of_the_subdivision():
         assert (tri.euler_characteristic() == 0) == ok
         if not q.reversed_edge_orbits:
             assert tri.euler_characteristic() == euler_characteristic(q)
+
+
+# -- the cone subdivision as the oracle of the manifold test ---------------------------
+
+
+def cone_check(spec):
+    """The manifold test on the cone subdivision: every vertex link a
+    2-sphere, else the first failing vertex orbit, labelled by its first
+    (tet, slot)."""
+    tri = cone_subdivide(spec)
+    failing = tri.link_spheres_diagnostic()
+    if failing is None:
+        return ManifoldCheck(True, "all vertex links are 2-spheres")
+    orbit, euler, connected = failing
+    rep = min((t, v) for (t, v), o in tri.vertex_orbit_index.items() if o == orbit)
+    label = subdivision_vertex_label(spec, *rep)
+    return ManifoldCheck(
+        False,
+        f"vertex orbit {orbit} {label}: link euler={euler}, connected={connected}",
+    )
+
+
+RAW_GLUINGS = list(enumerate_raw(False))
+
+
+def test_manifold_test_agrees_with_the_cone_on_every_raw_gluing():
+    manifolds = 0
+    for g in RAW_GLUINGS:
+        spec = g.to_spec()
+        check = is_closed_manifold(spec)
+        assert check == cone_check(spec), str(g)
+        manifolds += check.ok
+    assert (len(RAW_GLUINGS), manifolds) == (7680, 625)
+
+
+def test_manifold_test_agrees_with_the_cone_on_every_double_cover():
+    covers = 0
+    for g in RAW_GLUINGS:
+        spec = g.to_spec()
+        if not is_closed_manifold(spec).ok or quotient_is_orientable(spec):
+            continue
+        cover = orientation_double_cover(spec)
+        assert is_closed_manifold(cover) == cone_check(cover), str(g)
+        covers += 1
+    assert covers == 255
+
+
+def test_manifold_test_agrees_with_the_cone_on_two_cube_lifts():
+    # every sheet pattern (w_1, w_2, w_3) of a two-sheeted lift, most of
+    # them non-manifolds, so failures on cube 1 are diagnosed too
+    lifts = failures = 0
+    for g in RAW_GLUINGS[::61]:
+        for pattern in itertools.product((0, 1), repeat=3):
+            spec = CubulationSpec(2, tuple(
+                SpecPair((s, p.face_a), (s ^ w, p.face_b), p.sym)
+                for p, w in zip(g.pairs, pattern) for s in (0, 1)))
+            check = is_closed_manifold(spec)
+            assert check == cone_check(spec), (str(g), pattern)
+            lifts += 1
+            failures += not check.ok
+    assert (lifts, failures) == (1008, 915)
+
+
+def _with_pairs_swapped(g, swaps):
+    return CubeGluing(tuple(p.swapped() if swap else p for p, swap in zip(g.pairs, swaps)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(RAW_GLUINGS), st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_manifoldness_and_euler_are_invariant_under_relabelling(g, swaps):
+    def invariants(h):
+        spec = h.to_spec()
+        return is_closed_manifold(spec).ok, euler_characteristic(build_quotient(spec))
+
+    expected = invariants(g)
+    for h in orbit_of(g):
+        assert invariants(h) == expected, (str(g), str(h))
+    assert invariants(_with_pairs_swapped(g, swaps)) == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(RAW_GLUINGS))
+def test_serialized_gluings_parse_back(g):
+    assert parse_gluing_text(g.serialize()) == g
 
 
 # -- orientability and double covers ---------------------------------------------------
