@@ -27,6 +27,7 @@ their valence profiles are pinned by golden tests.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -197,9 +198,8 @@ def _faces_at_corner(corner: int) -> tuple[Face, ...]:
 def _apply_symmetry_to_pattern(cs: CubeSymmetry, pattern: DiagonalPattern) -> DiagonalPattern:
     diagonals: list[frozenset[int] | None] = [None] * 6
     for f in FACES:
-        f2 = cs.apply_face(f)
         beta = cs.chart_maps[f.index]
-        diagonals[f2.index] = frozenset(beta[i] for i in pattern.diagonal_of(f))
+        diagonals[cs.face_image[f.index]] = frozenset(map(beta.apply, pattern.diagonal_of(f)))
     return DiagonalPattern(tuple(diagonals))
 
 
@@ -210,6 +210,7 @@ class BlockChoice:
     symmetry: CubeSymmetry  # carries reference_pattern(kind) to pattern
 
 
+@functools.lru_cache(maxsize=None)
 def _transport_symmetry(kind: BlockKind, pattern: DiagonalPattern) -> CubeSymmetry:
     ref = _BLOCK_PATTERNS[kind]
     for cs in ALL_CUBE_SYMMETRIES:

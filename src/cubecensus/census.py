@@ -75,11 +75,11 @@ def _cell_h1(spec) -> AbelianInvariants:
 def compute_fingerprint(gluing: CubeGluing) -> Fingerprint:
     """Fingerprint of a closed-manifold gluing; homology is taken from the
     quotient cell complex, the Z/2 and Z/3 dimensions from integral H1 by
-    universal coefficients, and orientability from the assembled block
-    triangulation."""
-    h1 = _cell_h1(gluing.to_spec())
-    orientable = assemble_triangulation(gluing).is_orientable()
-    cover_h1 = None if orientable else _cell_h1(orientation_double_cover(gluing.to_spec()))
+    universal coefficients, and orientability from the cube orientations."""
+    spec = gluing.to_spec()
+    h1 = _cell_h1(spec)
+    orientable = quotient_is_orientable(spec)
+    cover_h1 = None if orientable else _cell_h1(orientation_double_cover(spec))
     return Fingerprint(orientable, h1, mod_p_dimension(h1, 2), mod_p_dimension(h1, 3), cover_h1)
 
 

@@ -14,6 +14,8 @@ Conventions fixed once and used everywhere:
   chartA[i] is sent to chartB[(k - i) % 4] for `r<k>`, and to
   chartB[(k + i) % 4] for `r<k>m`.  The eight symmetries form a dihedral
   group; the `m` forms are exactly the orientation-reversing gluings.
+* So a gluing written `sym` has chart position map `sym ∘ m`, where `m` =
+  `r0m` is the base reversal i -> -i; swaps and relabellings compose these.
 """
 
 from __future__ import annotations
@@ -131,21 +133,14 @@ class SquareSymmetry:
 
 ALL_SQUARE_SYMMETRIES = tuple(SquareSymmetry(r, m) for m in (False, True) for r in range(4))
 
-_REVERSAL = (0, 3, 2, 1)  # the base chart matching i -> -i (mod 4)
+REVERSAL = SquareSymmetry(0, True)  # the base chart matching i -> -i (mod 4)
 
 
 def gluing_index_map(sym: SquareSymmetry) -> tuple[int, int, int, int]:
     """Chart position map of the gluing: position i of faceA's chart goes to
     this value in faceB's chart (the symmetry composed with the base
     reversal)."""
-    return tuple(sym.apply(_REVERSAL[i]) for i in range(4))
-
-
-def index_map_to_symmetry(index_map) -> SquareSymmetry:
-    for sym in ALL_SQUARE_SYMMETRIES:
-        if gluing_index_map(sym) == tuple(index_map):
-            return sym
-    raise ValueError(f"not a dihedral chart map: {index_map}")
+    return tuple(sym.apply(REVERSAL.apply(i)) for i in range(4))
 
 
 @dataclass(frozen=True)
@@ -164,12 +159,10 @@ class GluingPair:
         return {ca[i]: cb[imap[i]] for i in range(4)}
 
     def swapped(self) -> "GluingPair":
-        """The same identification written from face_b's side."""
-        imap = self.index_map()
-        inv = [0, 0, 0, 0]
-        for i, x in enumerate(imap):
-            inv[x] = i
-        return GluingPair(self.face_b, self.face_a, index_map_to_symmetry(tuple(inv)))
+        """The same identification written from face_b's side: the inverse
+        position map m ∘ sym⁻¹ is written m ∘ sym⁻¹ ∘ m."""
+        sym = REVERSAL.compose(self.sym.inverse()).compose(REVERSAL)
+        return GluingPair(self.face_b, self.face_a, sym)
 
     def normalised(self) -> "GluingPair":
         return self if self.face_a < self.face_b else self.swapped()

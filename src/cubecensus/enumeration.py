@@ -19,12 +19,12 @@ from .cube_complex import (
     CHARTS,
     CORNER_COORDS,
     FACES,
+    REVERSAL,
     CubeGluing,
     Face,
     GluingPair,
+    SquareSymmetry,
     corner_id,
-    gluing_index_map,
-    index_map_to_symmetry,
 )
 
 
@@ -34,8 +34,8 @@ class CubeSymmetry:
     the induced face permutation and per-face chart position maps."""
 
     corner_perm: tuple[int, ...]
-    face_image: tuple[int, ...]                      # face index -> face index
-    chart_maps: tuple[tuple[int, int, int, int], ...]  # face index -> position map
+    face_image: tuple[int, ...]             # face index -> face index
+    chart_maps: tuple[SquareSymmetry, ...]  # face index -> position map
 
     def apply_corner(self, c: int) -> int:
         return self.corner_perm[c]
@@ -60,17 +60,13 @@ def _build_symmetries() -> tuple[CubeSymmetry, ...]:
             chart_maps = []
             for f in FACES:
                 image_corners = [perm[c] for c in CHARTS[f]]
-                common = [
-                    (a, CORNER_COORDS[image_corners[0]][a])
-                    for a in range(3)
-                    if all(CORNER_COORDS[c][a] == CORNER_COORDS[image_corners[0]][a]
-                           for c in image_corners)
-                ]
-                (axis, bit), = common
-                f2 = Face(axis, 1 if bit else -1)
+                f2 = next(g for g in FACES if set(CHARTS[g]) == set(image_corners))
                 face_image.append(f2.index)
-                chart2 = CHARTS[f2]
-                chart_maps.append(tuple(chart2.index(c) for c in image_corners))
+                positions = [CHARTS[f2].index(c) for c in image_corners]
+                beta = SquareSymmetry(positions[0], positions[1] != (positions[0] + 1) % 4)
+                if [beta.apply(i) for i in range(4)] != positions:
+                    raise AssertionError(f"chart map {positions} of face {f} is not dihedral")
+                chart_maps.append(beta)
             out.append(CubeSymmetry(perm, tuple(face_image), tuple(chart_maps)))
     return tuple(out)
 
@@ -111,19 +107,16 @@ def enumerate_raw(opposite_only: bool = False) -> Iterator[CubeGluing]:
 
 def conjugate_gluing(g: CubeGluing, cs: CubeSymmetry) -> CubeGluing:
     """Relabel the cube by the isometry: the same identification space with
-    every face and chart position renamed."""
+    every face and chart position renamed.  With chart maps β_a, β_b of the
+    pair's faces, the position map sym ∘ m becomes β_b ∘ sym ∘ m ∘ β_a⁻¹,
+    which is written β_b ∘ sym ∘ m ∘ β_a⁻¹ ∘ m."""
     new_pairs = []
     for pair in g.pairs:
         fa, fb = pair.face_a, pair.face_b
-        sigma = gluing_index_map(pair.sym)
-        beta_a = cs.chart_maps[fa.index]
-        beta_b = cs.chart_maps[fb.index]
-        inv_a = [0, 0, 0, 0]
-        for i, x in enumerate(beta_a):
-            inv_a[x] = i
-        new_sigma = tuple(beta_b[sigma[inv_a[i]]] for i in range(4))
-        new_pairs.append(GluingPair(cs.apply_face(fa), cs.apply_face(fb),
-                                    index_map_to_symmetry(new_sigma)))
+        beta_a, beta_b = cs.chart_maps[fa.index], cs.chart_maps[fb.index]
+        sym = (beta_b.compose(pair.sym).compose(REVERSAL)
+               .compose(beta_a.inverse()).compose(REVERSAL))
+        new_pairs.append(GluingPair(cs.apply_face(fa), cs.apply_face(fb), sym))
     return CubeGluing.from_pairs(new_pairs)
 
 

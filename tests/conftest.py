@@ -2,14 +2,20 @@ import pytest
 
 from cubecensus.blocks import assemble_triangulation
 from cubecensus.census import run_census
-from cubecensus.cube_complex import parse_gluing_text
-from cubecensus.enumeration import enumerate_canonical
+from cubecensus.cube_complex import is_closed_manifold, parse_gluing_text
+from cubecensus.enumeration import enumerate_canonical, enumerate_raw
 from cubecensus.normal_surfaces import find_certificate
 
 
 @pytest.fixture(scope="session")
 def canonical_classes():
     return enumerate_canonical(opposite_only=False)
+
+
+@pytest.fixture(scope="session")
+def raw_manifold_gluings():
+    """The 625 raw one-cube gluings that are closed manifolds."""
+    return [g for g in enumerate_raw(False) if is_closed_manifold(g.to_spec()).ok]
 
 
 @pytest.fixture(scope="session")

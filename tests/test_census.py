@@ -195,17 +195,22 @@ def test_all_block_kinds_occur_in_the_census(full_census):
     assert all(count > 0 for count in kinds.values())
 
 
-def test_orientability_agreement_across_routes(manifold_rows):
+def test_orientability_agreement_across_routes(manifold_rows, raw_manifold_gluings):
     from cubecensus.blocks import assemble_triangulation
     from cubecensus.cube_complex import cone_subdivide
 
-    for row in manifold_rows[::5]:
+    assert len(manifold_rows) == 56
+    for row in manifold_rows:
         gluing = parse_gluing_text(row.class_id)
         spec = gluing.to_spec()
         assert (assemble_triangulation(gluing).is_orientable()
                 == cone_subdivide(spec).is_orientable()
                 == quotient_is_orientable(spec)
                 == row.orientable)
+    assert len(raw_manifold_gluings) == 625
+    for gluing in raw_manifold_gluings:
+        assert (assemble_triangulation(gluing).is_orientable()
+                == quotient_is_orientable(gluing.to_spec())), str(gluing)
 
 
 def test_assembled_manifolds_have_sphere_links(manifold_rows):

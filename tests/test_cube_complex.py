@@ -234,11 +234,13 @@ def test_k2_gluing_map_is_a_mirror_translation():
 
 
 def test_pair_swap_is_the_inverse_identification():
-    for sym in ALL_SQUARE_SYMMETRIES:
-        pair = GluingPair(Face.from_str("+x"), Face.from_str("-y"), sym)
-        back = pair.swapped()
-        cmap = pair.corner_map()
-        assert back.corner_map() == {v: k for k, v in cmap.items()}
+    for face_a, face_b in itertools.permutations(FACES, 2):
+        for sym in ALL_SQUARE_SYMMETRIES:
+            pair = GluingPair(face_a, face_b, sym)
+            back = pair.swapped()
+            cmap = pair.corner_map()
+            assert (back.face_a, back.face_b) == (face_b, face_a)
+            assert back.corner_map() == {v: k for k, v in cmap.items()}, str(pair)
 
 
 # -- quotients against the closure oracle -----------------------------------------

@@ -2,19 +2,24 @@
 
 The orbit-partition oracle groups all raw gluings by breadth-first closure
 under single conjugations, independently of the min-serialization logic in
-canonical_form.
+canonical_form.  The geometric oracle checks the dihedral algebra of chart
+maps and conjugation against the isometries' corner permutations alone.
 """
 
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cubecensus.census import compute_fingerprint
-from cubecensus.cube_complex import is_closed_manifold, parse_gluing_text
+from cubecensus.cube_complex import CHARTS, FACES, CubeGluing, is_closed_manifold, parse_gluing_text
 from cubecensus.enumeration import (
     ALL_CUBE_SYMMETRIES,
     canonical_form,
     conjugate_gluing,
     enumerate_canonical,
     enumerate_raw,
+    orbit_of,
 )
 
 T3 = "+x -x r0 / +y -y r0 / +z -z r0"
@@ -133,3 +138,46 @@ def test_fingerprint_is_constant_on_an_orbit():
         image = conjugate_gluing(g, cs)
         assert is_closed_manifold(image.to_spec()).ok
         assert compute_fingerprint(image) == base
+
+
+# -- geometric oracle for the dihedral algebra ----------------------------------
+
+
+def test_chart_maps_follow_the_corner_permutation():
+    for cs in ALL_CUBE_SYMMETRIES:
+        for f in FACES:
+            image = FACES[cs.face_image[f.index]]
+            beta = cs.chart_maps[f.index]
+            for i in range(4):
+                assert CHARTS[image][beta.apply(i)] == cs.corner_perm[CHARTS[f][i]]
+
+
+def identifications(g):
+    """The gluing's corner identifications as unordered pairs of
+    (face index, corner)."""
+    return {frozenset(((p.face_a.index, src), (p.face_b.index, dst)))
+            for p in g.pairs for src, dst in p.corner_map().items()}
+
+
+def test_conjugation_relabels_every_identification():
+    # one symmetry on all three pairs covers every (face pair, symmetry)
+    # across the 15 matchings
+    gluings = [g for g in enumerate_raw(False) if len({p.sym for p in g.pairs}) == 1]
+    assert len(gluings) == 15 * 8
+    for g in gluings:
+        original = identifications(g)
+        for cs in ALL_CUBE_SYMMETRIES:
+            relabelled = {frozenset((cs.face_image[f], cs.corner_perm[c]) for f, c in ident)
+                          for ident in original}
+            assert identifications(conjugate_gluing(g, cs)) == relabelled, (str(g), cs.corner_perm)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data(), st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_fingerprint_is_invariant_under_relabelling(raw_manifold_gluings, data, swaps):
+    g = data.draw(st.sampled_from(raw_manifold_gluings))
+    expected = compute_fingerprint(g)
+    for h in orbit_of(g):
+        assert compute_fingerprint(h) == expected, (str(g), str(h))
+    swapped = CubeGluing(tuple(p.swapped() if swap else p for p, swap in zip(g.pairs, swaps)))
+    assert compute_fingerprint(swapped) == expected

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubecensus.algebra import h1_of_chain_complex
 from cubecensus.blocks import assemble_triangulation
@@ -48,6 +50,41 @@ def test_involution_validation():
             [((1, 0), identity), None, None, None],
             [None] * 4,
         ])
+
+
+PERMS = list(itertools.permutations(range(4)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data(), st.sampled_from(["target", "face", "perm", "one-sided"]))
+def test_corrupted_gluing_tables_are_rejected(raw_manifold_gluings, data, corruption):
+    table = [list(faces) for faces in
+             assemble_triangulation(data.draw(st.sampled_from(raw_manifold_gluings))).gluings]
+    Triangulation(table)
+    n = len(table)
+    t = data.draw(st.integers(0, n - 1))
+    f = data.draw(st.integers(0, 3))
+    (t2, f2), p = table[t][f]
+    if corruption == "target":
+        bad = data.draw(st.one_of(st.integers(n, n + 5), st.integers(-5, -1)))
+        table[t][f] = ((bad, f2), p) if data.draw(st.booleans()) else ((t2, bad), p)
+    elif corruption == "face":
+        table[t][f] = ((t2, f2), data.draw(st.sampled_from([q for q in PERMS if q[f] != f2])))
+    elif corruption == "perm":
+        bad = data.draw(st.tuples(*[st.integers(0, 3)] * 4).filter(
+            lambda q: sorted(q) != [0, 1, 2, 3]))
+        table[t][f] = ((t2, f2), bad)
+    else:
+        # retarget or re-map one side and leave its partner as it was
+        t3 = data.draw(st.integers(0, n - 1))
+        f3 = data.draw(st.integers(0, 3))
+        q = data.draw(st.sampled_from([q for q in PERMS if q[f] == f3]))
+        entry = ((t3, f3), q)
+        if entry == table[t][f]:
+            entry = ((t3, f3), next(r for r in PERMS if r[f] == f3 and r != q))
+        table[t][f] = entry
+    with pytest.raises(ValueError):
+        Triangulation(table)
 
 
 def test_perm_helpers():
