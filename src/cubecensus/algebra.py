@@ -58,10 +58,6 @@ class IntegerMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
 
-def _transpose_lists(m: list[list[int]], rows: int, cols: int) -> list[list[int]]:
-    return [[m[i][j] for i in range(rows)] for j in range(cols)]
-
-
 @dataclass(frozen=True)
 class SmithNormalForm:
     """SNF of a matrix m: u.mul(m).mul(v) is diagonal with the invariant

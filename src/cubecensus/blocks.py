@@ -275,32 +275,14 @@ def select_block(g: CubeGluing) -> BlockChoice:
 # -- assembling the triangulation ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockInstance:
-    kind: BlockKind
-    pattern: DiagonalPattern
-    tets: tuple[tuple[int, int, int, int], ...]  # sorted corner ids per tet
-    internal_edge: frozenset[int] | None
-
-
-def block_instance(choice: BlockChoice) -> BlockInstance:
-    cs = choice.symmetry
-    tets = tuple(tuple(sorted(cs.apply_corner(c) for c in tet))
-                 for tet in _BLOCK_TETS[choice.kind])
-    internal = _BLOCK_INTERNAL_EDGE[choice.kind]
-    if internal is not None:
-        internal = frozenset(cs.apply_corner(c) for c in internal)
-    return BlockInstance(choice.kind, choice.pattern, tets, internal)
-
-
-def _owning_tet(instance: BlockInstance, triangle: frozenset[int]) -> tuple[int, int]:
+def _owning_tet(tets: list[tuple[int, ...]], triangle: frozenset[int]) -> tuple[int, int]:
     """(tet index, face slot) of the unique tetrahedron carrying a boundary
     triangle given by its corner set."""
-    owners = [i for i, tet in enumerate(instance.tets) if triangle <= set(tet)]
+    owners = [i for i, tet in enumerate(tets) if triangle <= set(tet)]
     if len(owners) != 1:
         raise AssertionError(f"boundary triangle {set(triangle)} owned by {owners}")
     t = owners[0]
-    (slot,) = [s for s in range(4) if instance.tets[t][s] not in triangle]
+    (slot,) = [s for s in range(4) if tets[t][s] not in triangle]
     return t, slot
 
 
@@ -313,18 +295,27 @@ def assemble_triangulation(g: CubeGluing) -> Triangulation:
     check = is_closed_manifold(g.to_spec())
     if not check:
         raise ValueError(f"not a closed manifold: {check.diagnostic}")
-    choice = select_block(g)
-    instance = block_instance(choice)
-    n = len(instance.tets)
-    gl: list[list] = [[None] * 4 for _ in range(n)]
+    return glue_block(g, select_block(g))
 
-    def slot_of(t: int, corner: int) -> int:
-        return instance.tets[t].index(corner)
+
+def glue_block(g: CubeGluing, choice: BlockChoice) -> Triangulation:
+    """The block of `choice`, instantiated through its symmetry, with its
+    boundary triangles glued according to g.  No manifold check: the
+    caller has tested g, and `choice` is `select_block(g)`."""
+    cs = choice.symmetry
+    tets = [tuple(sorted(cs.apply_corner(c) for c in tet))
+            for tet in _BLOCK_TETS[choice.kind]]
+    internal = _BLOCK_INTERNAL_EDGE[choice.kind]
+    if internal is not None:
+        internal = frozenset(cs.apply_corner(c) for c in internal)
+    pattern = choice.pattern
+    n = len(tets)
+    gl: list[list] = [[None] * 4 for _ in range(n)]
 
     def glue(t1, f1, t2, f2, corner_map):
         p1 = [None] * 4
         for c_src, c_dst in corner_map.items():
-            p1[slot_of(t1, c_src)] = slot_of(t2, c_dst)
+            p1[tets[t1].index(c_src)] = tets[t2].index(c_dst)
         p1[f1] = f2
         gl[t1][f1] = ((t2, f2), tuple(p1))
         p2 = [None] * 4
@@ -334,33 +325,33 @@ def assemble_triangulation(g: CubeGluing) -> Triangulation:
 
     # internal gluings: every corner triple shared by two tetrahedra
     for t1, t2 in itertools.combinations(range(n), 2):
-        shared = set(instance.tets[t1]) & set(instance.tets[t2])
+        shared = set(tets[t1]) & set(tets[t2])
         if len(shared) == 3:
-            f1 = slot_of(t1, (set(instance.tets[t1]) - shared).pop())
-            f2 = slot_of(t2, (set(instance.tets[t2]) - shared).pop())
+            f1 = tets[t1].index((set(tets[t1]) - shared).pop())
+            f2 = tets[t2].index((set(tets[t2]) - shared).pop())
             glue(t1, f1, t2, f2, {c: c for c in shared})
 
     # boundary gluings: two triangles per face pair, matched diagonals
     for pair in g.pairs:
         cmap = pair.corner_map()
-        diag_a = instance.pattern.corner_diagonal(pair.face_a)
-        diag_b = instance.pattern.corner_diagonal(pair.face_b)
+        diag_a = pattern.corner_diagonal(pair.face_a)
+        diag_b = pattern.corner_diagonal(pair.face_b)
         if {cmap[c] for c in diag_a} != set(diag_b):
             raise AssertionError("pattern diagonal not carried to pattern diagonal")
         off_a = [c for c in CHARTS[pair.face_a] if c not in diag_a]
         for u in off_a:
             tri_a = frozenset(diag_a | {u})
             tri_b = frozenset(cmap[c] for c in tri_a)
-            t1, f1 = _owning_tet(instance, tri_a)
-            t2, f2 = _owning_tet(instance, tri_b)
+            t1, f1 = _owning_tet(tets, tri_a)
+            t2, f2 = _owning_tet(tets, tri_b)
             glue(t1, f1, t2, f2, {c: cmap[c] for c in tri_a})
 
     labels = {}
-    for t, tet in enumerate(instance.tets):
+    for t, tet in enumerate(tets):
         for a, b in itertools.combinations(range(4), 2):
             edge = frozenset((tet[a], tet[b]))
-            if instance.internal_edge is not None and edge == instance.internal_edge:
+            if internal is not None and edge == internal:
                 labels[(t, frozenset((a, b)))] = "internal"
-            elif any(edge == instance.pattern.corner_diagonal(f) for f in FACES):
+            elif any(edge == pattern.corner_diagonal(f) for f in FACES):
                 labels[(t, frozenset((a, b)))] = "diagonal"
     return Triangulation(gl, edge_labels=labels)

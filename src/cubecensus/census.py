@@ -23,15 +23,15 @@ from .algebra import AbelianInvariants, h1_of_chain_complex, mod_p_dimension
 from .blocks import (
     FIVE_TET_PATTERN,
     BlockKind,
-    assemble_triangulation,
+    glue_block,
     mismatch_report,
     select_block,
 )
 from .cube_complex import (
     CubeGluing,
     build_quotient,
+    double_cover,
     is_closed_manifold,
-    orientation_double_cover,
     parse_gluing_text,
     quotient_chain_complex,
     quotient_is_orientable,
@@ -75,11 +75,14 @@ def _cell_h1(spec) -> AbelianInvariants:
 def compute_fingerprint(gluing: CubeGluing) -> Fingerprint:
     """Fingerprint of a closed-manifold gluing; homology is taken from the
     quotient cell complex, the Z/2 and Z/3 dimensions from integral H1 by
-    universal coefficients, and orientability from the cube orientations."""
+    universal coefficients, and orientability from the cube orientations.
+
+    No manifold check: the caller must have tested the gluing with
+    `is_closed_manifold`, as `classify` and `reference_table` do."""
     spec = gluing.to_spec()
     h1 = _cell_h1(spec)
     orientable = quotient_is_orientable(spec)
-    cover_h1 = None if orientable else _cell_h1(orientation_double_cover(spec))
+    cover_h1 = None if orientable else _cell_h1(double_cover(spec))
     return Fingerprint(orientable, h1, mod_p_dimension(h1, 2), mod_p_dimension(h1, 3), cover_h1)
 
 
@@ -208,8 +211,9 @@ def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None,
         canon = canonical_form(gluing)
     if references is None:
         references = reference_table()
+    spec = gluing.to_spec()
     choice = select_block(gluing)
-    check = is_closed_manifold(gluing.to_spec())
+    check = is_closed_manifold(spec)
     base = dict(
         class_id=canon.class_id,
         orbit_size=canon.orbit_size,
@@ -223,12 +227,12 @@ def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None,
     )
     if not check.ok:
         return ClassReport(**base)
-    tri = assemble_triangulation(gluing)
+    tri = glue_block(gluing, choice)
     fp = compute_fingerprint(gluing)
     matches = [e.name for e in references if e.expected_fingerprint == fp]
     cover_orient = cover_euler = None
     if not fp.orientable:
-        cover = orientation_double_cover(gluing.to_spec())
+        cover = double_cover(spec)
         cover_orient = quotient_is_orientable(cover)
         cover_euler = build_quotient(cover).euler_characteristic()
     base.update(

@@ -47,23 +47,28 @@ def build_parser() -> argparse.ArgumentParser:
                      description="census of closed 3-manifolds glued from one cube")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=False):
-        p.add_argument("--opposite-only", action="store_true",
-                       help="restrict to gluings pairing opposite faces")
-        p.add_argument("--jobs", type=_job_count, default=1, metavar="N",
-                       help="parallel classification workers (N >= 1, capped at the CPU count)")
-        p.add_argument("--format", choices=("text", "records"), default="text",
-                       help="human-readable text or one JSON record per line")
-        if with_input:
-            p.add_argument("--input", metavar="PATH", required=True,
-                           help="gluing-spec file, one `<faceA> <faceB> r<k>[m]` per line")
-
-    add_common(sub.add_parser("enumerate", help="list canonical gluing classes"))
-    add_common(sub.add_parser("classify", help="classify one gluing from a file"),
-               with_input=True)
-    add_common(sub.add_parser("census", help="classify every canonical class"))
-    add_common(sub.add_parser("verify", help="run the full census and verify the classification"))
-    sub.add_parser("blocks-selftest", help="check block valence tables")
+    options = {
+        "--opposite-only": dict(action="store_true",
+                                help="restrict to gluings pairing opposite faces"),
+        "--jobs": dict(type=_job_count, default=1, metavar="N",
+                       help="parallel classification workers (N >= 1, capped at the CPU count)"),
+        "--format": dict(choices=("text", "records"), default="text",
+                         help="human-readable text or one JSON record per line"),
+        "--input": dict(metavar="PATH", required=True,
+                        help="gluing-spec file, one `<faceA> <faceB> r<k>[m]` per line"),
+    }
+    # each command declares exactly the options its handler reads
+    for name, help_text, flags in (
+        ("enumerate", "list canonical gluing classes", ("--opposite-only", "--format")),
+        ("classify", "classify one gluing from a file", ("--format", "--input")),
+        ("census", "classify every canonical class", ("--opposite-only", "--jobs", "--format")),
+        ("verify", "run the full census and verify the classification",
+         ("--opposite-only", "--jobs")),
+        ("blocks-selftest", "check block valence tables", ()),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            command.add_argument(flag, **options[flag])
     return parser
 
 
@@ -84,7 +89,7 @@ def _cmd_classify(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as handle:
             gluing = parse_gluing_text(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
     except GluingSpecError as exc:

@@ -606,14 +606,20 @@ def quotient_is_orientable(spec: CubulationSpec) -> bool:
 
 
 def orientation_double_cover(spec: CubulationSpec):
-    """Two lifts per cube; gluings stay in the sheet when orientation-
-    compatible and cross sheets otherwise.  Returns ALREADY_ORIENTABLE for
+    """`double_cover(spec)`, guarded: returns ALREADY_ORIENTABLE for
     orientable input and rejects non-manifold input."""
     check = is_closed_manifold(spec)
     if not check:
         raise ValueError(f"not a closed manifold: {check.diagnostic}")
     if quotient_is_orientable(spec):
         return ALREADY_ORIENTABLE
+    return double_cover(spec)
+
+
+def double_cover(spec: CubulationSpec) -> CubulationSpec:
+    """Two lifts per cube; gluings stay in the sheet when orientation-
+    compatible and cross sheets otherwise.  No checks: for a non-orientable
+    closed manifold this is the orientation double cover."""
     lifted = []
     for pair in spec.pairs:
         ca, fa = pair.slot_a

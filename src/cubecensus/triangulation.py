@@ -63,7 +63,6 @@ class _UnionFind:
 class LinkSummary:
     euler: int
     connected: bool
-    orientable: bool
 
     @property
     def is_sphere(self) -> bool:
@@ -337,65 +336,9 @@ class Triangulation:
             out[o] = (len(lv_roots[o]) - edges + faces[o], len(components[o]) == 1)
         return out
 
-    @cached_property
-    def _link_orientable(self):
-        """Per vertex orbit: whether the link surface is orientable, by
-        propagating corner-triangle orientations.  Corner (t, v) is oriented
-        by the ascending cycle of its three vertex slots; across a glued
-        face the two triangles are compatible when they induce opposite
-        directions on the shared side."""
-        n = self.tet_count
-        orientation: dict[int, int] = {}
-        orientable = [True] * self.vertex_orbit_count
-        orbit_of_corner = [0] * (4 * n)
-        for (t, v), o in self.vertex_orbit_index.items():
-            orbit_of_corner[4 * t + v] = o
-        adjacency: dict[int, list[tuple[int, int, Perm4]]] = {}
-        for t in range(n):
-            for f in range(4):
-                entry = self._gluings[t][f]
-                if entry is None:
-                    continue
-                (t2, _), p = entry
-                for v in range(4):
-                    if v != f:
-                        adjacency.setdefault(4 * t + v, []).append((f, 4 * t2 + p[v], p))
-
-        def cyclic(order, a, b):
-            i = order.index(a)
-            return order[(i + 1) % 3] == b
-
-        for start in range(4 * n):
-            if start in orientation:
-                continue
-            orientation[start] = 1
-            stack = [start]
-            while stack:
-                c = stack.pop()
-                t, v = divmod(c, 4)
-                others = [w for w in range(4) if w != v]
-                for (f, c2, p) in adjacency.get(c, []):
-                    shared = [w for w in others if w != f]
-                    d1 = 1 if cyclic(others, shared[0], shared[1]) else -1
-                    t2, v2 = divmod(c2, 4)
-                    others2 = [w for w in range(4) if w != v2]
-                    d2 = 1 if cyclic(others2, p[shared[0]], p[shared[1]]) else -1
-                    needed = -orientation[c] * d1 * d2
-                    if c2 in orientation:
-                        if orientation[c2] != needed:
-                            orientable[orbit_of_corner[c2]] = False
-                    else:
-                        orientation[c2] = needed
-                        stack.append(c2)
-        return orientable
-
     def vertex_link(self, orbit: int) -> LinkSummary:
         euler, connected = self._link_euler_connected[orbit]
-        return LinkSummary(euler=euler, connected=connected,
-                           orientable=self._link_orientable[orbit])
-
-    def vertex_links(self) -> dict[int, LinkSummary]:
-        return {o: self.vertex_link(o) for o in self._link_euler_connected}
+        return LinkSummary(euler=euler, connected=connected)
 
     def link_spheres_diagnostic(self) -> tuple[int, int, bool] | None:
         """None when every vertex link is a sphere, else the first failing

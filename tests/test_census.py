@@ -94,6 +94,45 @@ def test_classify_non_manifold_row():
     assert row.block_kind  # selection works for non-manifolds too
 
 
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """Count `is_closed_manifold` calls per spec and `select_block` calls
+    per gluing, through every module binding of the two functions."""
+    from cubecensus import blocks, cube_complex
+
+    reference_table()  # cached; its own manifold tests are not counted
+    tests, selections = {}, {}
+
+    def counting(func, counts, key):
+        def wrapper(arg):
+            counts[key(arg)] = counts.get(key(arg), 0) + 1
+            return func(arg)
+        return wrapper
+
+    test = counting(cube_complex.is_closed_manifold, tests, lambda spec: spec)
+    select = counting(blocks.select_block, selections, lambda g: g.sort_key())
+    for module in (cube_complex, blocks, census):
+        monkeypatch.setattr(module, "is_closed_manifold", test)
+    for module in (blocks, census):
+        monkeypatch.setattr(module, "select_block", select)
+    return tests, selections
+
+
+def test_classify_tests_and_selects_once(counted_calls):
+    tests, selections = counted_calls
+    row = classify(parse_gluing_text(K2XS1), references=reference_table())
+    assert row.manifold and not row.orientable
+    assert list(tests.values()) == [1]
+    assert list(selections.values()) == [1]
+
+
+def test_census_tests_and_selects_each_class_once(counted_calls):
+    tests, selections = counted_calls
+    report = run_census(True, jobs=1)
+    assert len(tests) == len(selections) == report.summary.total_classes == 56
+    assert set(tests.values()) == set(selections.values()) == {1}
+
+
 def test_census_rows_are_canonical_and_unique(full_census):
     ids = [r.class_id for r in full_census.rows]
     assert len(ids) == len(set(ids)) == full_census.summary.total_classes

@@ -50,6 +50,14 @@ def test_classify_missing_file_exits_1(capsys):
     assert "cannot read" in err
 
 
+def test_classify_non_utf8_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff+x -x r0\n")
+    code, _, err = run_cli(capsys, "classify", "--input", str(path))
+    assert code == 1
+    assert f"cannot read {path}: " in err
+
+
 def test_classify_requires_input(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["classify"])
@@ -64,6 +72,19 @@ def test_census_rejects_jobs_below_one(capsys, jobs):
     assert excinfo.value.code == 1
     err = capsys.readouterr().err
     assert f"argument --jobs: expected a whole number N >= 1, got '{jobs}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--input", "unread.txt", "--jobs", "2"],
+    ["enumerate", "--jobs", "2"],
+    ["verify", "--format", "records"],
+])
+def test_options_a_command_ignores_are_rejected(capsys, argv):
+    # parsing fails before any input is read or any census runs
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_enumerate_counts(capsys):
