@@ -1,16 +1,49 @@
 """Exact integer linear algebra: Smith normal form and abelian invariants.
 
 Everything here runs on arbitrary-precision Python ints.  The matrices in
-this project are small (at most ~150x150, from subdivided cube complexes),
-so the implementation favours auditability over asymptotics: classical
-row/column reduction with the smallest-pivot rule, and every Smith normal
-form carries unimodular transformation certificates that are re-verified by
-multiplication before the result is returned.
+this project are small (at most ~150x150, from subdivided cube complexes)
+and sparse: boundary maps have a few nonzeros per column, and the
+transformation matrices of their Smith normal forms are mostly zero.  So
+matrices are stored densely, but every loop that does arithmetic skips zero
+entries: products walk the nonzeros of both operands, and the row and column
+operations of the reduction touch only entries whose source entry is
+nonzero.  Skipping a zero term changes no result, so everything stays exact.
+The reduction is classical row/column reduction with the smallest-pivot
+rule, and every Smith normal form carries unimodular transformation
+certificates that are re-verified by full exact multiplication before the
+result is returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def _eye(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _axpy(dst: list[int], src, q: int) -> None:
+    """dst += q * src in place, touching only the nonzero entries of src."""
+    for t, y in enumerate(src):
+        if y:
+            dst[t] += q * y
+
+
+def _is_diagonal(m: "IntegerMatrix", diag) -> bool:
+    """Exact test that m has diag in its leading diagonal positions and zeros
+    everywhere else, without building that matrix."""
+    if len(diag) > min(m.rows, m.cols):
+        return False
+    for i, row in enumerate(m.entries):
+        d = diag[i] if i < len(diag) else 0
+        if row.count(0) != m.cols - (d != 0) or (d and row[i] != d):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -20,6 +53,10 @@ class IntegerMatrix:
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(self.entries) != self.rows or any(len(row) != self.cols for row in self.entries):
+            raise ValueError(f"entries do not form a {self.rows}x{self.cols} matrix")
 
     @staticmethod
     def from_rows(data) -> "IntegerMatrix":
@@ -36,18 +73,29 @@ class IntegerMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntegerMatrix(n, n, tuple(map(tuple, _eye(n))))
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        """Exact product self * other.
+
+        Each row of other is reduced once to its nonzero (column, value)
+        pairs; each nonzero a = self[i][k] then adds a * other[k] into a
+        dense accumulator for row i.  Zero terms are never formed, so the
+        cost is the number of nonzero products, not rows * inner * cols.
+        """
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = list(zip(*other.entries)) if other.entries and other.cols else [()] * other.cols
+        n = other.cols
+        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
         for row in self.entries:
-            out.append(tuple(sum(a * b for a, b in zip(row, col)) for col in ot))
-        if not out and self.rows:
-            out = [()] * self.rows
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
+            acc = [0] * n
+            for a, pairs in zip(row, sparse_rows):
+                if a:
+                    for j, b in pairs:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return IntegerMatrix(self.rows, n, tuple(out))
 
     def transpose(self) -> "IntegerMatrix":
         if self.rows == 0 or self.cols == 0:
@@ -79,7 +127,7 @@ class SmithNormalForm:
         d = [[0] * m.cols for _ in range(m.rows)]
         for k, val in enumerate(self.invariants):
             d[k][k] = val
-        return IntegerMatrix.from_rows(d) if m.rows else IntegerMatrix(0, m.cols, ())
+        return IntegerMatrix(m.rows, m.cols, tuple(map(tuple, d)))
 
     @property
     def rank(self) -> int:
@@ -104,18 +152,32 @@ def _pivot(a, k, rows, cols):
     return best
 
 
+def _offender(a, k, rows, cols):
+    """A column j > k holding an entry a[i][j], i > k, that the pivot a[k][k]
+    does not divide, or None."""
+    p = a[k][k]
+    if p in (1, -1):
+        return None
+    for i in range(k + 1, rows):
+        ai = a[i]
+        for j in range(k + 1, cols):
+            if ai[j] % p:
+                return j
+    return None
+
+
 def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     """Diagonalise m over Z by unimodular row and column operations.
 
     Pivot rule: smallest nonzero magnitude in the remaining submatrix, ties
-    broken by position, so the computation is deterministic.
+    broken by position, so the computation is deterministic.  A stage that
+    leaves a nonzero remainder in the pivot's row or column, or an entry the
+    pivot does not divide, starts again from the pivot rule with a strictly
+    smaller pivot, so every stage ends.
     """
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    u, uinv, v, vinv = _eye(rows), _eye(rows), _eye(cols), _eye(cols)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -125,10 +187,11 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
 
     def row_add(i, j, q):
         # row i += q * row j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        _axpy(a[i], a[j], q)
+        _axpy(u[i], u[j], q)
         for r in uinv:
-            r[j] -= q * r[i]
+            if r[i]:
+                r[j] -= q * r[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
@@ -146,10 +209,12 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     def col_add(i, j, q):
         # col i += q * col j
         for r in a:
-            r[i] += q * r[j]
+            if r[j]:
+                r[i] += q * r[j]
         for r in v:
-            r[i] += q * r[j]
-        vinv[j] = [x - q * y for x, y in zip(vinv[j], vinv[i])]
+            if r[j]:
+                r[i] += q * r[j]
+        _axpy(vinv[j], vinv[i], -q)
 
     k = 0
     limit = min(rows, cols)
@@ -162,33 +227,26 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
             row_swap(k, pi)
         if pj != k:
             col_swap(k, pj)
-        while True:
-            dirty = False
-            for i in range(k + 1, rows):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    if q:
-                        row_add(i, k, -q)
-                    if a[i][k] != 0:
-                        row_swap(k, i)
-                        dirty = True
-            for j in range(k + 1, cols):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    if q:
-                        col_add(j, k, -q)
-                    if a[k][j] != 0:
-                        col_swap(k, j)
-                        dirty = True
-            if not dirty and all(a[i][k] == 0 for i in range(k + 1, rows)) \
-                    and all(a[k][j] == 0 for j in range(k + 1, cols)):
-                break
-        # enforce divisibility of later diagonal entries by a[k][k]
-        offender = None
-        for l in range(k + 1, limit):
-            if a[l][l] % a[k][k] != 0:
-                offender = l
-                break
+        # clear column k with row operations, then row k with column
+        # operations; a nonzero remainder is smaller than the pivot, so the
+        # stage restarts and the pivot rule picks it up
+        p = a[k][k]
+        for i in range(k + 1, rows):
+            if a[i][k]:
+                q = a[i][k] // p
+                if q:
+                    row_add(i, k, -q)
+        if any(a[i][k] for i in range(k + 1, rows)):
+            continue
+        for j in range(k + 1, cols):
+            if a[k][j]:
+                q = a[k][j] // p
+                if q:
+                    col_add(j, k, -q)
+        if any(a[k][j] for j in range(k + 1, cols)):
+            continue
+        # enforce divisibility of the rest of the matrix by a[k][k]
+        offender = _offender(a, k, rows, cols)
         if offender is not None:
             col_add(k, offender, 1)
             continue
@@ -200,10 +258,10 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     result = SmithNormalForm(
         matrix=m,
         invariants=invariants,
-        u=IntegerMatrix.from_rows(u) if rows else IntegerMatrix(0, 0, ()),
-        v=IntegerMatrix.from_rows(v) if cols else IntegerMatrix(0, 0, ()),
-        u_inv=IntegerMatrix.from_rows(uinv) if rows else IntegerMatrix(0, 0, ()),
-        v_inv=IntegerMatrix.from_rows(vinv) if cols else IntegerMatrix(0, 0, ()),
+        u=IntegerMatrix(rows, rows, tuple(map(tuple, u))),
+        v=IntegerMatrix(cols, cols, tuple(map(tuple, v))),
+        u_inv=IntegerMatrix(rows, rows, tuple(map(tuple, uinv))),
+        v_inv=IntegerMatrix(cols, cols, tuple(map(tuple, vinv))),
     )
     _verify_certificate(result)
     return result
@@ -211,17 +269,16 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
 
 def _verify_certificate(s: SmithNormalForm) -> None:
     m = s.matrix
-    if m.rows and m.cols:
-        if s.u.mul(m).mul(s.v).entries != s.diagonal().entries:
-            raise AssertionError("SNF certificate failed: u*m*v != diagonal")
-    if m.rows:
-        if s.u.mul(s.u_inv).entries != IntegerMatrix.identity(m.rows).entries:
-            raise AssertionError("SNF certificate failed: u not unimodular")
-    if m.cols:
-        if s.v.mul(s.v_inv).entries != IntegerMatrix.identity(m.cols).entries:
-            raise AssertionError("SNF certificate failed: v not unimodular")
+    if not _is_diagonal(s.u.mul(m).mul(s.v), s.invariants):
+        raise AssertionError("SNF certificate failed: u*m*v != diagonal")
+    if not _is_diagonal(s.u.mul(s.u_inv), (1,) * m.rows):
+        raise AssertionError("SNF certificate failed: u not unimodular")
+    if not _is_diagonal(s.v.mul(s.v_inv), (1,) * m.cols):
+        raise AssertionError("SNF certificate failed: v not unimodular")
+    if any(d <= 0 for d in s.invariants):
+        raise AssertionError("SNF invariant factors not positive")
     for d1, d2 in zip(s.invariants, s.invariants[1:]):
-        if d1 <= 0 or d2 % d1 != 0:
+        if d2 % d1 != 0:
             raise AssertionError("SNF invariant factors not a divisibility chain")
 
 
@@ -273,7 +330,7 @@ def h1_of_chain_complex(d2: IntegerMatrix, d1: IntegerMatrix) -> AbelianInvarian
 
 def h1_with_coefficients(d2: IntegerMatrix, d1: IntegerMatrix, p: int) -> int:
     """Dimension of first homology with coefficients in the field Z/p."""
-    if p < 2:
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError("p must be a prime >= 2")
     if d1.cols != d2.rows:
         raise ValueError("chain complex shape mismatch")

@@ -1,23 +1,81 @@
 """Tests for exact Smith normal form and homology helpers.
 
-The independent oracle here computes invariant factors from gcds of k x k
-minors (d_1 * ... * d_k = gcd of all k x k minors), which shares no code
-with the row/column reduction under test.
+The independent oracles here share no code with the row/column reduction
+and the sparse product under test: invariant factors from gcds of k x k
+minors (d_1 * ... * d_k = gcd of all k x k minors), sympy's invariant
+factors, and a textbook dense product that forms every term.
 """
 
+import dataclasses
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from cubecensus.algebra import (
     AbelianInvariants,
     IntegerMatrix,
+    _verify_certificate,
     h1_of_chain_complex,
     h1_with_coefficients,
     mod_p_dimension,
     smith_normal_form,
 )
+from cubecensus.census import reference_table
+from cubecensus.cube_complex import cone_subdivide
+
+BIG = 10 ** 30
+
+
+def dense_mul(x: IntegerMatrix, y: IntegerMatrix) -> IntegerMatrix:
+    """Oracle: the textbook product, each entry a sum over a row of x zipped
+    with a column of y, zero terms included."""
+    if x.cols != y.rows:
+        raise ValueError("shape mismatch")
+    cols = list(zip(*y.entries)) if y.entries and y.cols else [()] * y.cols
+    return IntegerMatrix(x.rows, y.cols,
+                         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                               for row in x.entries))
+
+
+def diagonal_entries(rows: int, cols: int, diag) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(diag[i] if i == j and i < len(diag) else 0 for j in range(cols))
+                 for i in range(rows))
+
+
+def assert_certificate_by_dense_product(s) -> None:
+    m = s.matrix
+    assert dense_mul(dense_mul(s.u, m), s.v).entries == diagonal_entries(m.rows, m.cols, s.invariants)
+    assert dense_mul(s.u, s.u_inv).entries == diagonal_entries(m.rows, m.rows, (1,) * m.rows)
+    assert dense_mul(s.v, s.v_inv).entries == diagonal_entries(m.cols, m.cols, (1,) * m.cols)
+    assert all(d > 0 for d in s.invariants)
+    for a, b in zip(s.invariants, s.invariants[1:]):
+        assert b % a == 0
+
+
+@st.composite
+def sparse_matrix(draw, rows, cols, values, zero_tenths=st.integers(0, 10)):
+    """A rows x cols matrix whose share of zero entries, in tenths, is drawn
+    first, so that examples range from all-zero to fully dense."""
+    zero_tenths = draw(zero_tenths)
+    return IntegerMatrix(rows, cols, tuple(
+        tuple(draw(values) if draw(st.integers(1, 10)) > zero_tenths else 0 for _ in range(cols))
+        for _ in range(rows)))
+
+
+SMALL_OR_HUGE = st.integers(-5, 5) | st.integers(BIG - 3, BIG + 3) | st.integers(-BIG - 3, -BIG + 3)
+
+
+@st.composite
+def mul_operands(draw):
+    r, k, c = (draw(st.integers(0, 7)) for _ in range(3))
+    mostly_zero = st.integers(5, 10)
+    return (draw(sparse_matrix(r, k, SMALL_OR_HUGE, mostly_zero)),
+            draw(sparse_matrix(k, c, SMALL_OR_HUGE, mostly_zero)))
 
 
 def minor_gcd_invariants(m: IntegerMatrix) -> tuple[int, ...]:
@@ -168,3 +226,118 @@ def test_abelian_invariants_rendering():
     assert str(AbelianInvariants(3, ())) == "Z^3"
     assert str(AbelianInvariants(2, (2,))) == "Z^2 + Z/2"
     assert str(AbelianInvariants(0, (2, 4))) == "Z/2 + Z/4"
+
+
+@settings(deadline=None, max_examples=300)
+@given(mul_operands())
+def test_mul_matches_dense_product(operands):
+    x, y = operands
+    product = x.mul(y)
+    expected = dense_mul(x, y)
+    assert (product.rows, product.cols) == (expected.rows, expected.cols)
+    assert product.entries == expected.entries
+
+
+@pytest.mark.parametrize("left, right", [((2, 3), (2, 3)), ((0, 1), (0, 1)), ((3, 0), (1, 3))])
+def test_mul_rejects_shape_mismatch(left, right):
+    with pytest.raises(ValueError):
+        IntegerMatrix.zero(*left).mul(IntegerMatrix.zero(*right))
+
+
+@st.composite
+def snf_inputs(draw):
+    return draw(sparse_matrix(draw(st.integers(1, 8)), draw(st.integers(1, 8)), st.integers(-6, 6)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(snf_inputs())
+def test_snf_matches_sympy_invariant_factors(m):
+    s = smith_normal_form(m)
+    expected = invariant_factors(Matrix([list(row) for row in m.entries]), domain=ZZ)
+    assert s.invariants == tuple(abs(int(d)) for d in expected if d != 0)
+    assert_certificate_by_dense_product(s)
+
+
+@pytest.mark.parametrize("rows", [
+    # after the first stage 3 sits off the diagonal, where a divisibility
+    # check of diagonal entries alone does not see it
+    [[0, 0], [0, 2], [3, 0]],
+    # swapping remainders into the pivot without a fresh pivot search let
+    # the entries grow past thousands of digits on this matrix
+    [[-6, 5, -6, 0, 5, -5], [-3, 5, 0, -3, -1, 5], [6, 0, 5, 4, 6, -1], [-6, 3, 5, 0, -5, 0],
+     [0, -3, -6, 1, -6, 1], [3, -1, 1, -3, 4, -5], [0, -4, -2, -2, 6, 4], [-6, -6, 6, -1, 0, 0]],
+])
+def test_snf_of_matrices_the_reduction_once_failed_on(rows):
+    m = IntegerMatrix.from_rows(rows)
+    s = smith_normal_form(m)
+    assert s.invariants == minor_gcd_invariants(m)
+    assert_certificate_by_dense_product(s)
+
+
+@pytest.fixture(scope="module")
+def k2xs1_cone_snf():
+    """SNF of the cone-subdivision d2 of the K2 x S1 reference; its
+    transformation matrices are mostly zero."""
+    entry = next(e for e in reference_table() if e.name == "K2 x S1")
+    d2, _ = cone_subdivide(entry.gluing.to_spec()).chain_complex()
+    return smith_normal_form(d2)
+
+
+def _with_entry_changed(m: IntegerMatrix, was_zero: bool) -> IntegerMatrix:
+    """m with its last zero (or last nonzero) entry in row-major order
+    increased by one."""
+    i, j = next((i, j) for i in reversed(range(m.rows)) for j in reversed(range(m.cols))
+                if (m.entries[i][j] == 0) == was_zero)
+    rows = [list(row) for row in m.entries]
+    rows[i][j] += 1
+    return IntegerMatrix.from_rows(rows)
+
+
+def test_certificate_of_reference_cone_snf_is_sparse_and_passes(k2xs1_cone_snf):
+    s = k2xs1_cone_snf
+    _verify_certificate(s)
+    assert_certificate_by_dense_product(s)
+    cells = s.u.rows ** 2 + s.v.rows ** 2
+    nonzero = sum(x != 0 for t in (s.u, s.v) for row in t.entries for x in row)
+    assert nonzero < cells // 2
+
+
+@pytest.mark.parametrize("field", ["u", "v", "u_inv", "v_inv"])
+@pytest.mark.parametrize("was_zero", [True, False])
+def test_verify_certificate_rejects_a_changed_transform_entry(k2xs1_cone_snf, field, was_zero):
+    s = k2xs1_cone_snf
+    bad = dataclasses.replace(s, **{field: _with_entry_changed(getattr(s, field), was_zero)})
+    with pytest.raises(AssertionError):
+        _verify_certificate(bad)
+
+
+def test_verify_certificate_rejects_wrong_invariants(k2xs1_cone_snf):
+    with pytest.raises(AssertionError):
+        _verify_certificate(dataclasses.replace(k2xs1_cone_snf, invariants=(2, 3)))
+
+
+@pytest.mark.parametrize("rows, cols, entries", [
+    (2, 2, ((1, 2),)),
+    (2, 2, ((1, 2), (3,))),
+    (1, 2, ((1, 2), (3, 4))),
+    (2, 0, ((),)),
+    (0, 3, ((),)),
+])
+def test_malformed_integer_matrix_is_rejected(rows, cols, entries):
+    with pytest.raises(ValueError):
+        IntegerMatrix(rows, cols, entries)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
+def test_h1_with_coefficients_rejects_non_prime(p):
+    d1 = IntegerMatrix.zero(1, 3)
+    klein_d2 = IntegerMatrix.from_rows([[0, 0, 0], [0, -2, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match="prime"):
+        h1_with_coefficients(klein_d2, d1, p)
+
+
+def test_h1_with_coefficients_accepts_larger_primes():
+    d1 = IntegerMatrix.zero(1, 3)
+    klein_d2 = IntegerMatrix.from_rows([[0, 0, 0], [0, -2, 0], [0, 0, 0]])
+    for p in (7, 11, 13):
+        assert h1_with_coefficients(klein_d2, d1, p) == 2
