@@ -29,6 +29,8 @@ from .blocks import (
 )
 from .cube_complex import (
     CubeGluing,
+    CubulationSpec,
+    QuotientComplex,
     build_quotient,
     double_cover,
     is_closed_manifold,
@@ -68,8 +70,19 @@ class Fingerprint:
         return ", ".join(parts)
 
 
-def _cell_h1(spec) -> AbelianInvariants:
-    return h1_of_chain_complex(*quotient_chain_complex(build_quotient(spec)))
+def _cell_h1(q: QuotientComplex) -> AbelianInvariants:
+    return h1_of_chain_complex(*quotient_chain_complex(q))
+
+
+def _fingerprint(spec: CubulationSpec) -> tuple[Fingerprint, QuotientComplex | None]:
+    """The fingerprint of a closed-manifold spec, with the quotient of its
+    orientation double cover when it is non-orientable."""
+    h1 = _cell_h1(build_quotient(spec))
+    orientable = quotient_is_orientable(spec)
+    cover = None if orientable else build_quotient(double_cover(spec))
+    cover_h1 = None if cover is None else _cell_h1(cover)
+    fp = Fingerprint(orientable, h1, mod_p_dimension(h1, 2), mod_p_dimension(h1, 3), cover_h1)
+    return fp, cover
 
 
 def compute_fingerprint(gluing: CubeGluing) -> Fingerprint:
@@ -79,11 +92,7 @@ def compute_fingerprint(gluing: CubeGluing) -> Fingerprint:
 
     No manifold check: the caller must have tested the gluing with
     `is_closed_manifold`, as `classify` and `reference_table` do."""
-    spec = gluing.to_spec()
-    h1 = _cell_h1(spec)
-    orientable = quotient_is_orientable(spec)
-    cover_h1 = None if orientable else _cell_h1(double_cover(spec))
-    return Fingerprint(orientable, h1, mod_p_dimension(h1, 2), mod_p_dimension(h1, 3), cover_h1)
+    return _fingerprint(gluing.to_spec())[0]
 
 
 # -- reference manifolds -------------------------------------------------------
@@ -228,13 +237,12 @@ def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None,
     if not check.ok:
         return ClassReport(**base)
     tri = glue_block(gluing, choice)
-    fp = compute_fingerprint(gluing)
+    fp, cover = _fingerprint(spec)
     matches = [e.name for e in references if e.expected_fingerprint == fp]
     cover_orient = cover_euler = None
-    if not fp.orientable:
-        cover = double_cover(spec)
-        cover_orient = quotient_is_orientable(cover)
-        cover_euler = build_quotient(cover).euler_characteristic()
+    if cover is not None:
+        cover_orient = quotient_is_orientable(cover.spec)
+        cover_euler = cover.euler_characteristic()
     base.update(
         tet_count=tri.tet_count,
         valences=tuple(sorted(o.valence for o in tri.edge_orbits)),

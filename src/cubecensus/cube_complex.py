@@ -271,13 +271,13 @@ def parse_gluing_text(text: str) -> CubeGluing:
                 sym = SquareSymmetry.from_str(tokens[2])
             except ValueError as exc:
                 raise GluingSpecError(lineno, str(exc)) from None
+            if fa == fb:
+                raise GluingSpecError(lineno, "a face cannot be glued to itself")
             for f in (fa, fb):
                 if f.index in seen:
                     raise GluingSpecError(
                         lineno, f"face {f} already used on line {seen[f.index]}")
                 seen[f.index] = lineno
-            if fa == fb:
-                raise GluingSpecError(lineno, "a face cannot be glued to itself")
             pairs.append(GluingPair(fa, fb, sym))
     if len(pairs) != 3:
         raise GluingSpecError(len(text.splitlines()) or 1,

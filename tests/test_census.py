@@ -133,6 +133,35 @@ def test_census_tests_and_selects_each_class_once(counted_calls):
     assert set(tests.values()) == set(selections.values()) == {1}
 
 
+def test_census_lifts_one_cover_per_nonorientable_class(monkeypatch):
+    """Each non-orientable class lifts its double cover once, and builds
+    the cover's quotient once, for both H1 and the Euler characteristic."""
+    from cubecensus import cube_complex
+
+    reference_table()  # cached; its own covers are not counted
+    lifts, cover_quotients = {}, {}
+    double_cover, build_quotient = cube_complex.double_cover, cube_complex.build_quotient
+
+    def lift(spec):
+        lifts[spec] = lifts.get(spec, 0) + 1
+        return double_cover(spec)
+
+    def build(spec):
+        if spec.cube_count == 2:
+            cover_quotients[spec] = cover_quotients.get(spec, 0) + 1
+        return build_quotient(spec)
+
+    for module in (cube_complex, census):
+        monkeypatch.setattr(module, "double_cover", lift)
+        monkeypatch.setattr(module, "build_quotient", build)
+    report = run_census(True, jobs=1)
+    nonorientable = [r for r in report.rows if r.manifold and not r.orientable]
+    assert nonorientable
+    assert len(lifts) == len(cover_quotients) == len(nonorientable)
+    assert set(lifts.values()) == set(cover_quotients.values()) == {1}
+    assert all(r.double_cover_orientable and r.double_cover_euler == 0 for r in nonorientable)
+
+
 def test_census_rows_are_canonical_and_unique(full_census):
     ids = [r.class_id for r in full_census.rows]
     assert len(ids) == len(set(ids)) == full_census.summary.total_classes

@@ -44,6 +44,14 @@ def test_classify_duplicate_face_exits_1(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_classify_self_glued_face_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("+x +x r0\n+y -y r0\n+z -z r0\n")
+    code, _, err = run_cli(capsys, "classify", "--input", str(path))
+    assert code == 1
+    assert "line 1" in err and "a face cannot be glued to itself" in err
+
+
 def test_classify_missing_file_exits_1(capsys):
     code, _, err = run_cli(capsys, "classify", "--input", "/nonexistent/path.txt")
     assert code == 1

@@ -2,7 +2,8 @@
 
 The orbit-partition oracle groups all raw gluings by breadth-first closure
 under single conjugations, independently of the min-serialization logic in
-canonical_form.  The geometric oracle checks the dihedral algebra of chart
+canonical_form and of the integer pair tables.  The object-level
+conjugate_gluing is the oracle for every table entry and every orbit.  The geometric oracle checks the dihedral algebra of chart
 maps and conjugation against the isometries' corner permutations alone.
 """
 
@@ -15,6 +16,8 @@ from cubecensus.census import compute_fingerprint
 from cubecensus.cube_complex import CHARTS, FACES, CubeGluing, is_closed_manifold, parse_gluing_text
 from cubecensus.enumeration import (
     ALL_CUBE_SYMMETRIES,
+    _encode,
+    _pair_tables,
     canonical_form,
     conjugate_gluing,
     enumerate_canonical,
@@ -181,3 +184,47 @@ def test_fingerprint_is_invariant_under_relabelling(raw_manifold_gluings, data, 
         assert compute_fingerprint(h) == expected, (str(g), str(h))
     swapped = CubeGluing(tuple(p.swapped() if swap else p for p, swap in zip(g.pairs, swaps)))
     assert compute_fingerprint(swapped) == expected
+
+
+# -- the integer pair tables against conjugate_gluing ---------------------------
+
+
+def test_pair_tables_match_conjugate_gluing_on_every_entry():
+    # one symmetry on all three pairs: 120 gluings whose pair codes are the
+    # 15 × 8 normalised codes, so 48 symmetries check all 5760 entries
+    gluings = [g for g in enumerate_raw(False) if len({p.sym for p in g.pairs}) == 1]
+    codes = {c for g in gluings for c in _encode(g)}
+    assert len(codes) == 15 * 8
+    tables = _pair_tables()
+    assert len(tables) == len(ALL_CUBE_SYMMETRIES)
+    for g in gluings:
+        for cs, table in zip(ALL_CUBE_SYMMETRIES, tables):
+            expected = _encode(conjugate_gluing(g, cs))
+            assert tuple(sorted(table[c] for c in _encode(g))) == expected, (str(g), cs.corner_perm)
+
+
+def test_classes_partition_the_raw_gluings_into_conjugation_orbits(canonical_classes):
+    covered = set()
+    for c in canonical_classes:
+        orbit = {}
+        for cs in ALL_CUBE_SYMMETRIES:
+            image = conjugate_gluing(c.gluing, cs)
+            orbit[image.sort_key()] = image.serialize()
+        assert len(orbit) == c.orbit_size, c.class_id
+        assert orbit[min(orbit)] == c.class_id
+        assert covered.isdisjoint(orbit.values()), c.class_id
+        covered.update(orbit.values())
+    assert covered == {g.serialize() for g in enumerate_raw(False)}
+
+
+RAW_GLUINGS = tuple(enumerate_raw(False))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(RAW_GLUINGS), st.sampled_from(ALL_CUBE_SYMMETRIES),
+       st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_canonical_form_is_invariant_under_relabelling_and_swaps(g, cs, swaps):
+    expected = canonical_form(g)
+    assert canonical_form(conjugate_gluing(g, cs)) == expected
+    swapped = CubeGluing(tuple(p.swapped() if swap else p for p, swap in zip(g.pairs, swaps)))
+    assert canonical_form(swapped) == expected
