@@ -208,6 +208,7 @@ class BlockChoice:
     kind: BlockKind
     pattern: DiagonalPattern
     symmetry: CubeSymmetry  # carries reference_pattern(kind) to pattern
+    mismatch_count: int  # pairs of the gluing that FIVE_TET_PATTERN does not match
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,11 +266,9 @@ def select_block(g: CubeGluing) -> BlockChoice:
             raise AssertionError("no corner meets one face of each bad pair")
         for f in chosen:
             pattern = pattern.flip(f)
-    result = BlockChoice(kind, pattern, _transport_symmetry(kind, pattern))
-    check = mismatch_report(g, result.pattern)
-    if check.mismatch_count != 0:
+    if mismatch_report(g, pattern).mismatch_count != 0:
         raise AssertionError("selected pattern does not match the gluing")
-    return result
+    return BlockChoice(kind, pattern, _transport_symmetry(kind, pattern), count)
 
 
 # -- assembling the triangulation ---------------------------------------------

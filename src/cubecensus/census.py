@@ -20,16 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import AbelianInvariants, h1_of_chain_complex, mod_p_dimension
-from .blocks import (
-    FIVE_TET_PATTERN,
-    BlockKind,
-    glue_block,
-    mismatch_report,
-    select_block,
-)
+from .blocks import BlockKind, glue_block, select_block
 from .cube_complex import (
     CubeGluing,
-    CubulationSpec,
     QuotientComplex,
     build_quotient,
     double_cover,
@@ -74,12 +67,12 @@ def _cell_h1(q: QuotientComplex) -> AbelianInvariants:
     return h1_of_chain_complex(*quotient_chain_complex(q))
 
 
-def _fingerprint(spec: CubulationSpec) -> tuple[Fingerprint, QuotientComplex | None]:
-    """The fingerprint of a closed-manifold spec, with the quotient of its
-    orientation double cover when it is non-orientable."""
-    h1 = _cell_h1(build_quotient(spec))
-    orientable = quotient_is_orientable(spec)
-    cover = None if orientable else build_quotient(double_cover(spec))
+def _fingerprint(q: QuotientComplex) -> tuple[Fingerprint, QuotientComplex | None]:
+    """The fingerprint of a closed manifold from its quotient, with the
+    quotient of its orientation double cover when it is non-orientable."""
+    h1 = _cell_h1(q)
+    orientable = quotient_is_orientable(q.spec)
+    cover = None if orientable else build_quotient(double_cover(q.spec))
     cover_h1 = None if cover is None else _cell_h1(cover)
     fp = Fingerprint(orientable, h1, mod_p_dimension(h1, 2), mod_p_dimension(h1, 3), cover_h1)
     return fp, cover
@@ -91,8 +84,9 @@ def compute_fingerprint(gluing: CubeGluing) -> Fingerprint:
     universal coefficients, and orientability from the cube orientations.
 
     No manifold check: the caller must have tested the gluing with
-    `is_closed_manifold`, as `classify` and `reference_table` do."""
-    return _fingerprint(gluing.to_spec())[0]
+    `is_closed_manifold`.  `classify` and `reference_table` do not call this;
+    they fingerprint the quotient that the manifold check returns."""
+    return _fingerprint(build_quotient(gluing.to_spec()))[0]
 
 
 # -- reference manifolds -------------------------------------------------------
@@ -144,7 +138,7 @@ def reference_table() -> tuple[ReferenceEntry, ...]:
         check = is_closed_manifold(gluing.to_spec())
         if not check:
             raise AssertionError(f"reference {name}: not a closed manifold ({check.diagnostic})")
-        actual = compute_fingerprint(gluing)
+        actual = _fingerprint(check.quotient)[0]
         if actual != expected:
             raise AssertionError(
                 f"reference {name}: computed fingerprint {actual} != frozen {expected}")
@@ -152,7 +146,7 @@ def reference_table() -> tuple[ReferenceEntry, ...]:
             raise AssertionError(f"reference {name}: expected non-orientable")
         entries.append(ReferenceEntry(name, notations, gluing, expected))
     fps = [e.expected_fingerprint for e in entries]
-    if len(set(map(str, fps))) != 4:
+    if len(set(fps)) != 4:
         raise AssertionError(
             "reference fingerprints are not pairwise distinct; the fingerprint "
             "would need to be extended by further covers")
@@ -212,23 +206,19 @@ def _str_or_none(value) -> str | None:
     return None if value is None else str(value)
 
 
-def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None,
-             references: tuple[ReferenceEntry, ...] | None = None) -> ClassReport:
+def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None) -> ClassReport:
     """Report row for one gluing, identified by its symmetry class `canon`
     (computed from the gluing when not given)."""
     if canon is None:
         canon = canonical_form(gluing)
-    if references is None:
-        references = reference_table()
-    spec = gluing.to_spec()
     choice = select_block(gluing)
-    check = is_closed_manifold(spec)
+    check = is_closed_manifold(gluing.to_spec())
     base = dict(
         class_id=canon.class_id,
         orbit_size=canon.orbit_size,
         manifold=check.ok,
         diagnostic=check.diagnostic,
-        mismatch_count=mismatch_report(gluing, FIVE_TET_PATTERN).mismatch_count,
+        mismatch_count=choice.mismatch_count,
         block_kind=choice.kind.value,
         tet_count=None, valences=None, orientable=None, h1=None,
         h1_mod2=None, h1_mod3=None, double_cover_h1=None,
@@ -237,8 +227,8 @@ def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None,
     if not check.ok:
         return ClassReport(**base)
     tri = glue_block(gluing, choice)
-    fp, cover = _fingerprint(spec)
-    matches = [e.name for e in references if e.expected_fingerprint == fp]
+    fp, cover = _fingerprint(check.quotient)
+    matches = [e.name for e in reference_table() if e.expected_fingerprint == fp]
     cover_orient = cover_euler = None
     if cover is not None:
         cover_orient = quotient_is_orientable(cover.spec)
@@ -277,11 +267,10 @@ class CensusReport:
     summary: CensusSummary
 
 
-def _classify_worker(canon: CanonicalGluing,
-                     references: tuple[ReferenceEntry, ...] | None = None) -> ClassReport:
+def _classify_worker(canon: CanonicalGluing) -> ClassReport:
     """`classify` for one census class; a failure names the class."""
     try:
-        return classify(canon.gluing, canon, references)
+        return classify(canon.gluing, canon)
     except Exception as exc:
         raise RuntimeError(f"classifying {canon.class_id}: {exc}") from exc
 
@@ -295,8 +284,7 @@ def run_census(opposite_only: bool = False, jobs: int = 1) -> CensusReport:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_classify_worker, classes, chunksize=8))
     else:
-        references = reference_table()
-        rows = [_classify_worker(c, references) for c in classes]
+        rows = [_classify_worker(c) for c in classes]
     rows.sort(key=lambda r: r.class_id)
     return CensusReport(opposite_only, tuple(rows), _summarise(rows))
 
@@ -313,9 +301,9 @@ def _summarise(rows) -> CensusSummary:
             continue
         fp = row.fingerprint()
         if row.orientable:
-            orient_fps.add(str(fp))
+            orient_fps.add(fp)
         else:
-            nonor_fps.add(str(fp))
+            nonor_fps.add(fp)
             if row.reference is None:
                 unidentified += 1
         if row.reference is not None:
@@ -349,29 +337,27 @@ class VerificationResult:
     checks: tuple[VerificationCheck, ...]
 
 
-def verify_theorem(report: CensusReport,
-                   references: tuple[ReferenceEntry, ...] | None = None) -> VerificationResult:
+def verify_theorem(report: CensusReport) -> VerificationResult:
     """Itemised verification of the classification claims on a full census:
     (a) exactly 4 non-orientable fingerprint classes, (b) each matching a
     distinct reference with pairwise distinct reference fingerprints,
     (c) a valence-4 edge in every non-five-tetrahedron manifold
     triangulation, (d) orientable double covers with zero Euler
     characteristic for every non-orientable class."""
-    if references is None:
-        references = reference_table()
+    references = reference_table()
     checks = []
 
     nonor_rows = [r for r in report.rows if r.manifold and not r.orientable]
     nonor_fps = {}
     for r in nonor_rows:
-        nonor_fps.setdefault(str(r.fingerprint()), []).append(r)
+        nonor_fps.setdefault(r.fingerprint(), []).append(r)
     checks.append(VerificationCheck(
         "a: non-orientable fingerprint classes = 4",
         len(nonor_fps) == 4,
-        f"found {len(nonor_fps)}: " + "; ".join(sorted(nonor_fps)),
+        f"found {len(nonor_fps)}: " + "; ".join(sorted(map(str, nonor_fps))),
     ))
 
-    ref_fps = {str(e.expected_fingerprint): e.name for e in references}
+    ref_fps = {e.expected_fingerprint: e.name for e in references}
     distinct = len(ref_fps) == len(references)
     coverage = {e.name: sum(1 for r in nonor_rows if r.reference == e.name)
                 for e in references}

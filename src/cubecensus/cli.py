@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 malformed input or usage error (parse diagnostics
-carry line numbers), 2 verification or self-test failure.
+carry line numbers) or a closed stdout, 2 verification or self-test failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .blocks import BlockKind, block_valences
@@ -153,7 +154,16 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`cubecensus enumerate | head -1`); send the
+        # rest of the output to devnull so the interpreter's last flush
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

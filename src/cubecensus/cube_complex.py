@@ -20,10 +20,9 @@ Conventions fixed once and used everywhere:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
+from .algebra import IntegerMatrix
 from .triangulation import Triangulation, _UnionFind
 
 CORNER_COORDS = tuple((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1))
@@ -378,8 +377,6 @@ def euler_characteristic(q: QuotientComplex) -> int:
 def quotient_chain_complex(q: QuotientComplex):
     """(d2, d1) of the quotient cell structure.  Square boundaries are read
     off from the chart walk of the smaller slot of each glued pair."""
-    from .algebra import IntegerMatrix
-
     if q.reversed_edge_orbits:
         raise ValueError("chain complex undefined: edge orbit reversed onto itself")
     n_v, n_e = q.vertex_orbit_count, q.edge_orbit_count
@@ -507,8 +504,12 @@ def subdivision_vertex_label(spec: CubulationSpec, tet: int, slot: int):
 
 @dataclass(frozen=True)
 class ManifoldCheck:
+    """Verdict of `is_closed_manifold`, with the quotient it decided on so
+    that callers read homology from it instead of building it again."""
+
     ok: bool
     diagnostic: str
+    quotient: QuotientComplex | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -574,7 +575,7 @@ def is_closed_manifold(spec: CubulationSpec) -> ManifoldCheck:
         if euler != 2:
             failures.append((key, euler))
     if not failures:
-        return ManifoldCheck(True, "all vertex links are 2-spheres")
+        return ManifoldCheck(True, "all vertex links are 2-spheres", q)
     key, euler = min(failures)
     square_keys = [4 * min(48 * p.slot_a[0] + 8 * p.slot_a[1].index,
                            48 * p.slot_b[0] + 8 * p.slot_b[1].index) + 2 for p in spec.pairs]
@@ -584,6 +585,7 @@ def is_closed_manifold(spec: CubulationSpec) -> ManifoldCheck:
     return ManifoldCheck(
         False,
         f"vertex orbit {orbit} {label}: link euler={euler}, connected=True",
+        q,
     )
 
 

@@ -122,6 +122,14 @@ def test_selected_pattern_always_matches_sampled():
         assert choice.kind is expected
 
 
+def test_choice_carries_the_five_tet_mismatch_count():
+    # every raw gluing, not a sample: the count the census reports comes
+    # from the block choice, so it must equal a fresh mismatch report
+    for g in enumerate_raw(False):
+        expected = mismatch_report(g, FIVE_TET_PATTERN).mismatch_count
+        assert select_block(g).mismatch_count == expected, str(g)
+
+
 def test_assembled_tet_counts():
     seen = set()
     for g in enumerate_raw(False):

@@ -21,6 +21,7 @@ from cubecensus.census import (
     reference_table,
     render_records,
     render_text,
+    render_verification,
     run_census,
     verify_theorem,
 )
@@ -120,7 +121,7 @@ def counted_calls(monkeypatch):
 
 def test_classify_tests_and_selects_once(counted_calls):
     tests, selections = counted_calls
-    row = classify(parse_gluing_text(K2XS1), references=reference_table())
+    row = classify(parse_gluing_text(K2XS1))
     assert row.manifold and not row.orientable
     assert list(tests.values()) == [1]
     assert list(selections.values()) == [1]
@@ -135,11 +136,13 @@ def test_census_tests_and_selects_each_class_once(counted_calls):
 
 def test_census_lifts_one_cover_per_nonorientable_class(monkeypatch):
     """Each non-orientable class lifts its double cover once, and builds
-    the cover's quotient once, for both H1 and the Euler characteristic."""
+    the cover's quotient once, for both H1 and the Euler characteristic.
+    Each class builds its own quotient once, for both the manifold test
+    and H1."""
     from cubecensus import cube_complex
 
-    reference_table()  # cached; its own covers are not counted
-    lifts, cover_quotients = {}, {}
+    reference_table()  # cached; its own quotients and covers are not counted
+    lifts, cover_quotients, class_quotients = {}, {}, {}
     double_cover, build_quotient = cube_complex.double_cover, cube_complex.build_quotient
 
     def lift(spec):
@@ -147,8 +150,8 @@ def test_census_lifts_one_cover_per_nonorientable_class(monkeypatch):
         return double_cover(spec)
 
     def build(spec):
-        if spec.cube_count == 2:
-            cover_quotients[spec] = cover_quotients.get(spec, 0) + 1
+        counts = cover_quotients if spec.cube_count == 2 else class_quotients
+        counts[spec] = counts.get(spec, 0) + 1
         return build_quotient(spec)
 
     for module in (cube_complex, census):
@@ -160,6 +163,8 @@ def test_census_lifts_one_cover_per_nonorientable_class(monkeypatch):
     assert len(lifts) == len(cover_quotients) == len(nonorientable)
     assert set(lifts.values()) == set(cover_quotients.values()) == {1}
     assert all(r.double_cover_orientable and r.double_cover_euler == 0 for r in nonorientable)
+    assert len(class_quotients) == report.summary.total_classes == 56
+    assert set(class_quotients.values()) == {1}
 
 
 def test_census_rows_are_canonical_and_unique(full_census):
@@ -317,6 +322,18 @@ def test_records_bytes_are_pinned(full_census):
     assert digests == {
         "full": "eef20d9443399756aefdc121d9355032690ad8b2fc0d41995efaec86bbdb5401",
         "opposite-only": "6c3517f1fec1507cef9976409a0715b99d1a3661b9c6ce25e399f2f5313cda05",
+    }
+
+
+def test_text_and_verification_bytes_are_pinned(full_census):
+    digests = {
+        "text": hashlib.sha256(render_text(full_census).encode()).hexdigest(),
+        "verify": hashlib.sha256(
+            render_verification(verify_theorem(full_census)).encode()).hexdigest(),
+    }
+    assert digests == {
+        "text": "6b27ac00f3b493369b140584f3a72b69230da558ce2f2aa4da5ef89084a93a21",
+        "verify": "e9d340930116a2814a3c63f98819ac1f5afe1edc73503617bc0bb9446ab5adf4",
     }
 
 

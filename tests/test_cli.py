@@ -1,6 +1,7 @@
 """Command-line behaviour and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -138,6 +139,27 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "[PASS]" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["enumerate", "classify", "census", "verify",
+                                     "blocks-selftest"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
+    # `cubecensus enumerate | head -1`, made deterministic: the read end of
+    # the pipe is closed before the command starts
+    argv = [sys.executable, "-m", "cubecensus.cli", command]
+    if command == "classify":
+        path = tmp_path / "t3.txt"
+        path.write_text(T3_FILE)
+        argv += ["--input", str(path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_exit_code_reflects_verification(full_census, capsys):
