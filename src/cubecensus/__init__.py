@@ -4,7 +4,6 @@ from .algebra import (
     AbelianInvariants,
     IntegerMatrix,
     h1_of_chain_complex,
-    h1_with_coefficients,
     smith_normal_form,
 )
 from .blocks import (
@@ -28,7 +27,6 @@ from .census import (
     verify_theorem,
 )
 from .cube_complex import (
-    ALREADY_ORIENTABLE,
     CubeGluing,
     CubulationSpec,
     Face,
@@ -37,10 +35,7 @@ from .cube_complex import (
     QuotientComplex,
     SquareSymmetry,
     build_quotient,
-    cone_subdivide,
-    euler_characteristic,
     is_closed_manifold,
-    orientation_double_cover,
     parse_gluing_text,
     quotient_is_orientable,
 )
@@ -63,6 +58,6 @@ from .normal_surfaces import (
     summarise_surface,
     vertex_normal_surfaces,
 )
-from .triangulation import EdgeValenceProfile, LinkSummary, Triangulation
+from .triangulation import Triangulation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -71,10 +71,6 @@ class IntegerMatrix:
     def zero(rows: int, cols: int) -> "IntegerMatrix":
         return IntegerMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
-    @staticmethod
-    def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix(n, n, tuple(map(tuple, _eye(n))))
-
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         """Exact product self * other.
 
@@ -121,13 +117,6 @@ class SmithNormalForm:
     v: IntegerMatrix
     u_inv: IntegerMatrix
     v_inv: IntegerMatrix
-
-    def diagonal(self) -> IntegerMatrix:
-        m = self.matrix
-        d = [[0] * m.cols for _ in range(m.rows)]
-        for k, val in enumerate(self.invariants):
-            d[k][k] = val
-        return IntegerMatrix(m.rows, m.cols, tuple(map(tuple, d)))
 
     @property
     def rank(self) -> int:

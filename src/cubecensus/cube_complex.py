@@ -370,10 +370,6 @@ def build_quotient(spec: CubulationSpec) -> QuotientComplex:
     )
 
 
-def euler_characteristic(q: QuotientComplex) -> int:
-    return q.euler_characteristic()
-
-
 def quotient_chain_complex(q: QuotientComplex):
     """(d2, d1) of the quotient cell structure.  Square boundaries are read
     off from the chart walk of the smaller slot of each glued pair."""

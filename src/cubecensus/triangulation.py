@@ -60,16 +60,6 @@ class _UnionFind:
 
 
 @dataclass(frozen=True)
-class LinkSummary:
-    euler: int
-    connected: bool
-
-    @property
-    def is_sphere(self) -> bool:
-        return self.connected and self.euler == 2
-
-
-@dataclass(frozen=True)
 class EdgeOrbit:
     index: int
     representative: tuple[int, int, int]  # (tet, from_slot, to_slot)
@@ -77,19 +67,6 @@ class EdgeOrbit:
     valence: int
     reversed_on_itself: bool
     label: str
-
-
-@dataclass(frozen=True)
-class EdgeValenceProfile:
-    """Edge valences grouped by provenance label (sorted multisets)."""
-
-    internal: tuple[int, ...]
-    diagonal: tuple[int, ...]
-    other: tuple[int, ...]
-
-    @property
-    def all_valences(self) -> tuple[int, ...]:
-        return tuple(sorted(self.internal + self.diagonal + self.other))
 
 
 class Triangulation:
@@ -234,19 +211,6 @@ class Triangulation:
                     out[key] = (orbit.index, sign)
         return out
 
-    def edge_valences(self) -> EdgeValenceProfile:
-        buckets = {"internal": [], "diagonal": [], "other": []}
-        for orbit in self.edge_orbits:
-            buckets[orbit.label].append(orbit.valence)
-        return EdgeValenceProfile(
-            internal=tuple(sorted(buckets["internal"])),
-            diagonal=tuple(sorted(buckets["diagonal"])),
-            other=tuple(sorted(buckets["other"])),
-        )
-
-    def has_valence(self, k: int) -> bool:
-        return any(o.valence == k for o in self.edge_orbits)
-
     @cached_property
     def has_reversed_edge(self) -> bool:
         return any(o.reversed_on_itself for o in self.edge_orbits)
@@ -278,21 +242,16 @@ class Triangulation:
     # -- vertex links -----------------------------------------------------
 
     @cached_property
-    def _link_euler_connected(self):
-        """Per vertex orbit: (euler characteristic, connected) of the link
-        surface, assembled from one corner triangle per (tet, vertex)
-        incidence with corner triangles glued side-to-side along the face
-        pairings."""
+    def _link_euler(self) -> list[int]:
+        """Per vertex orbit: the Euler characteristic of its link surface,
+        assembled from one corner triangle per (tet, vertex) incidence with
+        corner triangles glued side-to-side along the face pairings.  The
+        link is connected, since a vertex orbit is one class of that same
+        gluing relation."""
         n = self.tet_count
         # link vertices (t, v, w) = tet edge v-w seen from v, packed as ints
         lv_uf = _UnionFind(16 * n)
-        corner_uf = _UnionFind(4 * n)
-        glued_side_slots = [0] * (4 * n)
-        side_slots = [0] * (4 * n)
-        for t in range(n):
-            base = 4 * t
-            for v in range(4):
-                side_slots[base + v] = 3
+        glued_sides = [0] * (4 * n)
         for t in range(n):
             for f in range(4):
                 entry = self._gluings[t][f]
@@ -302,51 +261,36 @@ class Triangulation:
                 for v in range(4):
                     if v == f:
                         continue
-                    corner_uf.union(4 * t + v, 4 * t2 + p[v])
-                    glued_side_slots[4 * t + v] += 1
+                    glued_sides[4 * t + v] += 1
                     for w in range(4):
                         if w != v and w != f:
                             lv_uf.union((4 * t + v) * 4 + w,
                                         (4 * t2 + p[v]) * 4 + p[w])
 
-        orbit_of_corner = [0] * (4 * n)
-        for (t, v), o in self.vertex_orbit_index.items():
-            orbit_of_corner[4 * t + v] = o
         n_orbits = self.vertex_orbit_count
         faces = [0] * n_orbits
         glued = [0] * n_orbits
-        sides = [0] * n_orbits
         lv_roots: list[set[int]] = [set() for _ in range(n_orbits)]
-        components: list[set[int]] = [set() for _ in range(n_orbits)]
         find_lv = lv_uf.find
-        find_c = corner_uf.find
-        for c in range(4 * n):
-            o = orbit_of_corner[c]
+        for (t, v), o in self.vertex_orbit_index.items():
+            c = 4 * t + v
             faces[o] += 1
-            glued[o] += glued_side_slots[c]
-            sides[o] += side_slots[c]
-            components[o].add(find_c(c))
-            t, v = divmod(c, 4)
-            for w in range(4):
-                if w != v:
-                    lv_roots[o].add(find_lv(c * 4 + w))
-        out = {}
-        for o in range(n_orbits):
-            edges = glued[o] // 2 + (sides[o] - glued[o])
-            out[o] = (len(lv_roots[o]) - edges + faces[o], len(components[o]) == 1)
-        return out
+            glued[o] += glued_sides[c]
+            lv_roots[o].update(find_lv(c * 4 + w) for w in range(4) if w != v)
+        # each corner triangle has 3 sides; glued sides pair up into one edge
+        return [len(lv_roots[o]) - (glued[o] // 2 + 3 * faces[o] - glued[o]) + faces[o]
+                for o in range(n_orbits)]
 
-    def vertex_link(self, orbit: int) -> LinkSummary:
-        euler, connected = self._link_euler_connected[orbit]
-        return LinkSummary(euler=euler, connected=connected)
+    def link_euler(self, orbit: int) -> int:
+        return self._link_euler[orbit]
 
-    def link_spheres_diagnostic(self) -> tuple[int, int, bool] | None:
-        """None when every vertex link is a sphere, else the first failing
-        orbit as (orbit, euler, connected)."""
-        for o in sorted(self._link_euler_connected):
-            euler, connected = self._link_euler_connected[o]
-            if not (connected and euler == 2):
-                return (o, euler, connected)
+    def link_spheres_diagnostic(self) -> tuple[int, int] | None:
+        """None when every vertex link is a sphere (a connected surface with
+        Euler characteristic 2), else the first failing orbit as
+        (orbit, euler)."""
+        for o, euler in enumerate(self._link_euler):
+            if euler != 2:
+                return (o, euler)
         return None
 
     def all_links_are_spheres(self) -> bool:

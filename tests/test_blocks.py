@@ -181,6 +181,5 @@ def test_assembled_edge_labels_are_homogeneous():
     # label classes never merge: side edges glue to side edges, pattern
     # diagonals to pattern diagonals, internal edges stay interior
     tri = assemble_triangulation(parse_gluing_text(T3))
-    profile = tri.edge_valences()
-    assert profile.internal == (4,)
-    assert sum(profile.all_valences) == 6 * tri.tet_count
+    assert [o.valence for o in tri.edge_orbits if o.label == "internal"] == [4]
+    assert sum(o.valence for o in tri.edge_orbits) == 6 * tri.tet_count

@@ -1,5 +1,6 @@
 """Command-line behaviour and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -117,6 +118,8 @@ def test_blocks_selftest_passes(capsys):
     assert code == 0
     assert out.count("[PASS]") == 4
     assert "[FAIL]" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "11720fcb213e6a7e13370c3c458124f96bac1c60d388a117e019a1fe6a2dd29c")
 
 
 def test_verify_rejects_opposite_only(capsys):

@@ -29,7 +29,6 @@ from cubecensus.cube_complex import (
     build_quotient,
     cone_subdivide,
     corner_id,
-    euler_characteristic,
     is_closed_manifold,
     orientation_double_cover,
     parse_gluing_text,
@@ -273,7 +272,7 @@ def test_k2_quotient_counts_match_closure_oracle():
     q = build_quotient(parse_gluing_text(K2XS1).to_spec())
     assert q.vertex_orbit_count == len(corner_orbits)
     assert q.edge_orbit_count == len(edge_orbits)
-    assert euler_characteristic(q) == 0
+    assert q.euler_characteristic() == 0
 
 
 def test_k2_library_corner_maps_match_coordinate_maps():
@@ -290,13 +289,13 @@ def test_every_one_cube_gluing_has_three_square_orbits():
     for g in sample:
         q = build_quotient(g.to_spec())
         assert q.square_count == 3
-        assert euler_characteristic(q) == (
+        assert q.euler_characteristic() == (
             q.vertex_orbit_count - q.edge_orbit_count + 2)
 
 
 def test_euler_formula_arithmetic():
     q = build_quotient(parse_gluing_text(T3).to_spec())
-    assert euler_characteristic(q) == 1 - 3 + 3 - 1 == 0
+    assert q.euler_characteristic() == 1 - 3 + 3 - 1 == 0
 
 
 # -- cone subdivision --------------------------------------------------------------
@@ -341,7 +340,7 @@ def test_nonzero_euler_characteristic_is_never_a_manifold():
     found = 0
     for g in enumerate_raw(True):
         q = build_quotient(g.to_spec())
-        if euler_characteristic(q) != 0:
+        if q.euler_characteristic() != 0:
             check = is_closed_manifold(g.to_spec())
             assert not check.ok
             assert "link" in check.diagnostic
@@ -367,7 +366,7 @@ def test_manifold_iff_zero_euler_of_the_subdivision():
         ok = is_closed_manifold(spec).ok
         assert (tri.euler_characteristic() == 0) == ok
         if not q.reversed_edge_orbits:
-            assert tri.euler_characteristic() == euler_characteristic(q)
+            assert tri.euler_characteristic() == q.euler_characteristic()
 
 
 # -- the cone subdivision as the oracle of the manifold test ---------------------------
@@ -381,12 +380,12 @@ def cone_check(spec):
     failing = tri.link_spheres_diagnostic()
     if failing is None:
         return ManifoldCheck(True, "all vertex links are 2-spheres")
-    orbit, euler, connected = failing
+    orbit, euler = failing
     rep = min((t, v) for (t, v), o in tri.vertex_orbit_index.items() if o == orbit)
     label = subdivision_vertex_label(spec, *rep)
     return ManifoldCheck(
         False,
-        f"vertex orbit {orbit} {label}: link euler={euler}, connected={connected}",
+        f"vertex orbit {orbit} {label}: link euler={euler}, connected=True",
     )
 
 
@@ -440,7 +439,7 @@ def _with_pairs_swapped(g, swaps):
 def test_manifoldness_and_euler_are_invariant_under_relabelling(g, swaps):
     def invariants(h):
         spec = h.to_spec()
-        return is_closed_manifold(spec).ok, euler_characteristic(build_quotient(spec))
+        return is_closed_manifold(spec).ok, build_quotient(spec).euler_characteristic()
 
     expected = invariants(g)
     for h in orbit_of(g):
@@ -469,7 +468,7 @@ def test_k2_double_cover_is_the_three_torus():
     assert quotient_is_orientable(cover)
     assert is_closed_manifold(cover).ok
     q = build_quotient(cover)
-    assert euler_characteristic(q) == 0
+    assert q.euler_characteristic() == 0
     h1 = h1_of_chain_complex(*quotient_chain_complex(q))
     assert (h1.rank, h1.torsion) == (3, ())
 
