@@ -93,11 +93,6 @@ class IntegerMatrix:
             out.append(tuple(acc))
         return IntegerMatrix(self.rows, n, tuple(out))
 
-    def transpose(self) -> "IntegerMatrix":
-        if self.rows == 0 or self.cols == 0:
-            return IntegerMatrix(self.cols, self.rows, tuple(() for _ in range(self.cols)))
-        return IntegerMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
@@ -286,10 +281,6 @@ class AbelianInvariants:
             parts.append(f"Z^{self.rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
 
 def h1_of_chain_complex(d2: IntegerMatrix, d1: IntegerMatrix) -> AbelianInvariants:

@@ -201,9 +201,6 @@ class CubeGluing:
             pairs=tuple(SpecPair((0, p.face_a), (0, p.face_b), p.sym) for p in self.pairs),
         )
 
-    def is_opposite_pairing(self) -> bool:
-        return all(p.face_a.opposite() == p.face_b for p in self.pairs)
-
     def __str__(self) -> str:
         return self.serialize()
 

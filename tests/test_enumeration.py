@@ -116,7 +116,7 @@ def test_opposite_only_partition():
     classes = enumerate_canonical(True)
     assert sum(c.orbit_size for c in classes) == 512
     for c in classes:
-        assert c.gluing.is_opposite_pairing()
+        assert all(p.face_a.opposite() == p.face_b for p in c.gluing.pairs)
 
 
 def test_canonical_stream_is_sorted_and_stable():

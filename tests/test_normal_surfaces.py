@@ -58,6 +58,45 @@ def unfiltered_double_description(tri):
     return sorted((v for v in rays if admissible(tri, v)), key=lambda v: (sum(v), v))
 
 
+def face_pair_order_surfaces(tri):
+    """Oracle: the filtered double description of `vertex_normal_surfaces`
+    with the equations cut in `matching_equations` (face pair) order
+    instead of sorted order."""
+    quad_masks = [0b111 << (7 * t + 4) for t in range(tri.tet_count)]
+
+    def admissible_support(support):
+        return all((support & m) & ((support & m) - 1) == 0 for m in quad_masks)
+
+    dim = 7 * tri.tet_count
+    rays = [(tuple(int(i == j) for j in range(dim)), 1 << i) for i in range(dim)]
+    for eq in matching_equations(tri):
+        terms = [(i, c) for i, c in enumerate(eq) if c]
+        pos, neg, kept = [], [], []
+        for ray in rays:
+            s = sum(c * ray[0][i] for i, c in terms)
+            if s > 0:
+                pos.append((ray, s))
+            elif s < 0:
+                neg.append((ray, -s))
+            else:
+                kept.append(ray)
+        supports = [r[1] for r in rays]
+        for (pvec, psup), ps in pos:
+            for (nvec, nsup), ns in neg:
+                union = psup | nsup
+                if not admissible_support(union):
+                    continue
+                if any(s | union == union and s != psup and s != nsup for s in supports):
+                    continue
+                vec = [ns * a + ps * b for a, b in zip(pvec, nvec)]
+                g = 0
+                for x in vec:
+                    g = gcd(g, x)
+                kept.append((tuple(x // g for x in vec), union))
+        rays = kept
+    return sorted((vec for vec, _ in rays), key=lambda v: (sum(v), v))
+
+
 def vertex_link(tri, orbit):
     coords = [0] * (7 * tri.tet_count)
     for (t, v), o in tri.vertex_orbit_index.items():
@@ -67,25 +106,34 @@ def vertex_link(tri, orbit):
 
 
 def test_vertex_surfaces_are_admissible_extreme_rays():
-    tri = tri_of(S2_BUNDLE)
-    equations = matching_equations(tri)
-    surfaces = vertex_normal_surfaces(tri)
-    assert surfaces
-    for v in surfaces:
-        assert all(x >= 0 for x in v) and admissible(tri, v)
-        assert all(sum(a * b for a, b in zip(eq, v)) == 0 for eq in equations)
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        assert g == 1
-        rows = [list(eq) for eq in equations]
-        rows += [[int(j == i) for j in range(len(v))] for i, x in enumerate(v) if x == 0]
-        assert smith_normal_form(IntegerMatrix.from_rows(rows)).rank == len(v) - 1
+    for gluing in [parse_gluing_text(S2_BUNDLE)] + [e.gluing for e in reference_table()]:
+        tri = assemble_triangulation(gluing)
+        equations = matching_equations(tri)
+        surfaces = vertex_normal_surfaces(tri)
+        assert surfaces
+        for v in surfaces:
+            assert all(x >= 0 for x in v) and admissible(tri, v)
+            assert all(sum(a * b for a, b in zip(eq, v)) == 0 for eq in equations)
+            g = 0
+            for x in v:
+                g = gcd(g, x)
+            assert g == 1
+            rows = [list(eq) for eq in equations]
+            rows += [[int(j == i) for j in range(len(v))] for i, x in enumerate(v) if x == 0]
+            assert smith_normal_form(IntegerMatrix.from_rows(rows)).rank == len(v) - 1
 
 
 def test_vertex_surfaces_agree_with_unfiltered_double_description():
     tri = tri_of(S2_BUNDLE)
     assert vertex_normal_surfaces(tri) == unfiltered_double_description(tri)
+
+
+def test_vertex_surfaces_agree_with_face_pair_order(manifold_rows):
+    nonor = [r for r in manifold_rows if not r.orientable]
+    assert len(nonor) == 27
+    for row in nonor:
+        tri = tri_of(row.class_id)
+        assert vertex_normal_surfaces(tri) == face_pair_order_surfaces(tri), row.class_id
 
 
 def test_vertex_link_is_a_separating_sphere_and_is_rejected():
