@@ -161,33 +161,29 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     """
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    u, uinv, v, vinv = _eye(rows), _eye(rows), _eye(cols), _eye(cols)
+    # u_inv and v are kept transposed, so each of their updates is a row update
+    u, uinv_t, v_t, vinv = _eye(rows), _eye(rows), _eye(cols), _eye(cols)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
+        uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
 
     def row_add(i, j, q):
         # row i += q * row j
         _axpy(a[i], a[j], q)
         _axpy(u[i], u[j], q)
-        for r in uinv:
-            if r[i]:
-                r[j] -= q * r[i]
+        _axpy(uinv_t[j], uinv_t[i], -q)
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
+        uinv_t[i] = [-x for x in uinv_t[i]]
 
     def col_swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        v_t[i], v_t[j] = v_t[j], v_t[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def col_add(i, j, q):
@@ -195,9 +191,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
         for r in a:
             if r[j]:
                 r[i] += q * r[j]
-        for r in v:
-            if r[j]:
-                r[i] += q * r[j]
+        _axpy(v_t[i], v_t[j], q)
         _axpy(vinv[j], vinv[i], -q)
 
     k = 0
@@ -243,8 +237,8 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
         matrix=m,
         invariants=invariants,
         u=IntegerMatrix(rows, rows, tuple(map(tuple, u))),
-        v=IntegerMatrix(cols, cols, tuple(map(tuple, v))),
-        u_inv=IntegerMatrix(rows, rows, tuple(map(tuple, uinv))),
+        v=IntegerMatrix(cols, cols, tuple(zip(*v_t))),
+        u_inv=IntegerMatrix(rows, rows, tuple(zip(*uinv_t))),
         v_inv=IntegerMatrix(cols, cols, tuple(map(tuple, vinv))),
     )
     _verify_certificate(result)

@@ -346,11 +346,12 @@ def glue_block(g: CubeGluing, choice: BlockChoice) -> Triangulation:
             glue(t1, f1, t2, f2, {c: cmap[c] for c in tri_a})
 
     labels = {}
+    diagonals = {pattern.corner_diagonal(f) for f in FACES}
     for t, tet in enumerate(tets):
         for a, b in itertools.combinations(range(4), 2):
             edge = frozenset((tet[a], tet[b]))
             if internal is not None and edge == internal:
                 labels[(t, frozenset((a, b)))] = "internal"
-            elif any(edge == pattern.corner_diagonal(f) for f in FACES):
+            elif edge in diagonals:
                 labels[(t, frozenset((a, b)))] = "diagonal"
     return Triangulation(gl, edge_labels=labels)

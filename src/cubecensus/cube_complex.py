@@ -196,37 +196,23 @@ class CubeGluing:
                      for p in self.pairs)
 
     def to_spec(self) -> "CubulationSpec":
-        return CubulationSpec(
-            cube_count=1,
-            pairs=tuple(SpecPair((0, p.face_a), (0, p.face_b), p.sym) for p in self.pairs),
-        )
+        return CubulationSpec(1, tuple((0, 0, p) for p in self.pairs))
 
     def __str__(self) -> str:
         return self.serialize()
 
 
 @dataclass(frozen=True)
-class SpecPair:
-    slot_a: tuple[int, Face]
-    slot_b: tuple[int, Face]
-    sym: SquareSymmetry
-
-    def corner_map(self) -> dict[tuple[int, int], tuple[int, int]]:
-        cube_a, face_a = self.slot_a
-        cube_b, face_b = self.slot_b
-        base = GluingPair(face_a, face_b, self.sym).corner_map()
-        return {(cube_a, src): (cube_b, dst) for src, dst in base.items()}
-
-
-@dataclass(frozen=True)
 class CubulationSpec:
-    """A finite collection of cubes with all faces glued in pairs."""
+    """A finite collection of cubes with all faces glued in pairs.  Each
+    entry `(cube_a, cube_b, pair)` glues face `pair.face_a` of cube `cube_a`
+    to face `pair.face_b` of cube `cube_b` by `pair.sym`."""
 
     cube_count: int
-    pairs: tuple[SpecPair, ...]
+    pairs: tuple[tuple[int, int, GluingPair], ...]
 
     def __post_init__(self):
-        slots = [s for p in self.pairs for s in (p.slot_a, p.slot_b)]
+        slots = [s for ca, cb, p in self.pairs for s in ((ca, p.face_a), (cb, p.face_b))]
         keys = {(c, f.index) for c, f in slots}
         if len(self.pairs) != 3 * self.cube_count or len(keys) != 6 * self.cube_count:
             raise ValueError("every (cube, face) slot must appear exactly once")
@@ -322,16 +308,15 @@ def build_quotient(spec: CubulationSpec) -> QuotientComplex:
     def ekey(cube, u, v):
         return cube * 64 + u * 8 + v
 
-    for pair in spec.pairs:
+    for ca, cb, pair in spec.pairs:
         cmap = pair.corner_map()
-        cube_a, face_a = pair.slot_a
-        chart = CHARTS[face_a]
+        chart = CHARTS[pair.face_a]
         for i in range(4):
             u, v = chart[i], chart[(i + 1) % 4]
-            (cb, u2), (_, v2) = cmap[(cube_a, u)], cmap[(cube_a, v)]
-            v_uf.union(8 * cube_a + u, 8 * cb + u2)
-            e_uf.union(ekey(cube_a, u, v), ekey(cb, u2, v2))
-            e_uf.union(ekey(cube_a, v, u), ekey(cb, v2, u2))
+            u2, v2 = cmap[u], cmap[v]
+            v_uf.union(8 * ca + u, 8 * cb + u2)
+            e_uf.union(ekey(ca, u, v), ekey(cb, u2, v2))
+            e_uf.union(ekey(ca, v, u), ekey(cb, v2, u2))
 
     v_roots = sorted({v_uf.find(8 * c + v) for c in range(nc) for v in range(8)})
     v_renum = {r: i for i, r in enumerate(v_roots)}
@@ -369,7 +354,7 @@ def build_quotient(spec: CubulationSpec) -> QuotientComplex:
 
 def quotient_chain_complex(q: QuotientComplex):
     """(d2, d1) of the quotient cell structure.  Square boundaries are read
-    off from the chart walk of the smaller slot of each glued pair."""
+    off from the chart walk of face_a's side of each entry."""
     if q.reversed_edge_orbits:
         raise ValueError("chain complex undefined: edge orbit reversed onto itself")
     n_v, n_e = q.vertex_orbit_count, q.edge_orbit_count
@@ -384,11 +369,10 @@ def quotient_chain_complex(q: QuotientComplex):
         d1[q.vertex_orbit_of[(c, v)]][idx] += 1
         d1[q.vertex_orbit_of[(c, u)]][idx] -= 1
 
-    pairs = sorted(q.spec.pairs, key=lambda p: (p.slot_a[0], p.slot_a[1].index))
+    pairs = sorted(q.spec.pairs, key=lambda e: (e[0], e[2].face_a.index))
     d2 = [[0] * len(pairs) for _ in range(n_e)]
-    for col, pair in enumerate(pairs):
-        cube_a, face_a = pair.slot_a
-        chart = CHARTS[face_a]
+    for col, (cube_a, _, pair) in enumerate(pairs):
+        chart = CHARTS[pair.face_a]
         for i in range(4):
             u, v = chart[i], chart[(i + 1) % 4]
             idx, sign = q.edge_orbit_of[(cube_a, u, v)]
@@ -459,10 +443,9 @@ def cone_subdivide(spec: CubulationSpec) -> Triangulation:
                 glue_identity(tet_index(cube, fa, ka, ha), 2,
                               tet_index(cube, fb, kb, hb), 2)
 
-    for pair in spec.pairs:
-        cube_a, face_a = pair.slot_a
-        cube_b, face_b = pair.slot_b
-        imap = GluingPair(face_a, face_b, pair.sym).index_map()
+    for cube_a, cube_b, pair in spec.pairs:
+        face_a, face_b = pair.face_a, pair.face_b
+        imap = pair.index_map()
         chart_b = CHARTS[face_b]
         for k in range(4):
             jk, jk1 = imap[k], imap[(k + 1) % 4]
@@ -476,7 +459,7 @@ def cone_subdivide(spec: CubulationSpec) -> Triangulation:
     return Triangulation(gl)
 
 
-def subdivision_vertex_label(spec: CubulationSpec, tet: int, slot: int):
+def subdivision_vertex_label(tet: int, slot: int):
     """Human-readable label of a subdivision vertex slot."""
     rest, h = divmod(tet, 2)
     rest, k = divmod(rest, 4)
@@ -570,11 +553,11 @@ def is_closed_manifold(spec: CubulationSpec) -> ManifoldCheck:
     if not failures:
         return ManifoldCheck(True, "all vertex links are 2-spheres", q)
     key, euler = min(failures)
-    square_keys = [4 * min(48 * p.slot_a[0] + 8 * p.slot_a[1].index,
-                           48 * p.slot_b[0] + 8 * p.slot_b[1].index) + 2 for p in spec.pairs]
+    square_keys = [4 * min(48 * ca + 8 * p.face_a.index, 48 * cb + 8 * p.face_b.index) + 2
+                   for ca, cb, p in spec.pairs]
     cube_keys = [4 * 48 * c + 3 for c in range(spec.cube_count)]
     orbit = sum(k < key for k in corner_key + midpoint_key + square_keys + cube_keys)
-    label = subdivision_vertex_label(spec, *divmod(key, 4))
+    label = subdivision_vertex_label(*divmod(key, 4))
     return ManifoldCheck(
         False,
         f"vertex orbit {orbit} {label}: link euler={euler}, connected=True",
@@ -591,8 +574,7 @@ def quotient_is_orientable(spec: CubulationSpec) -> bool:
     """Propagate cube orientations: a gluing written `r<k>` is compatible
     with coherent orientations and `r<k>m` flips them."""
     parity_uf = _UnionFind(2 * spec.cube_count)
-    for pair in spec.pairs:
-        ca, cb = pair.slot_a[0], pair.slot_b[0]
+    for ca, cb, pair in spec.pairs:
         w = 1 if pair.sym.reflected else 0
         parity_uf.union(2 * ca, 2 * cb + w)
         parity_uf.union(2 * ca + 1, 2 * cb + 1 - w)
@@ -615,12 +597,6 @@ def double_cover(spec: CubulationSpec) -> CubulationSpec:
     """Two lifts per cube; gluings stay in the sheet when orientation-
     compatible and cross sheets otherwise.  No checks: for a non-orientable
     closed manifold this is the orientation double cover."""
-    lifted = []
-    for pair in spec.pairs:
-        ca, fa = pair.slot_a
-        cb, fb = pair.slot_b
-        w = 1 if pair.sym.reflected else 0
-        for sheet in (0, 1):
-            lifted.append(SpecPair((2 * ca + sheet, fa),
-                                   (2 * cb + (sheet ^ w), fb), pair.sym))
-    return CubulationSpec(cube_count=2 * spec.cube_count, pairs=tuple(lifted))
+    return CubulationSpec(2 * spec.cube_count, tuple(
+        (2 * ca + sheet, 2 * cb + (sheet ^ int(pair.sym.reflected)), pair)
+        for ca, cb, pair in spec.pairs for sheet in (0, 1)))

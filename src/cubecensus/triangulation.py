@@ -151,6 +151,8 @@ class Triangulation:
 
     @cached_property
     def _edge_uf(self) -> _UnionFind:
+        """Classes of directed edges (t, a, b), keyed by `_edge_key`.  Seen
+        from a, the same key is the vertex of a's link on edge a-b."""
         uf = _UnionFind(16 * self.tet_count)
         for t in range(self.tet_count):
             for f in range(4):
@@ -158,13 +160,12 @@ class Triangulation:
                 if entry is None:
                     continue
                 (t2, _), p = entry
-                others = [v for v in range(4) if v != f]
-                for i in range(3):
-                    for j in range(3):
-                        if i == j:
-                            continue
-                        a, b = others[i], others[j]
-                        uf.union(self._edge_key(t, a, b), self._edge_key(t2, p[a], p[b]))
+                for a in range(4):
+                    if a == f:
+                        continue
+                    for b in range(4):
+                        if b != a and b != f:
+                            uf.union((4 * t + a) * 4 + b, (4 * t2 + p[a]) * 4 + p[b])
         return uf
 
     @cached_property
@@ -246,36 +247,20 @@ class Triangulation:
         """Per vertex orbit: the Euler characteristic of its link surface,
         assembled from one corner triangle per (tet, vertex) incidence with
         corner triangles glued side-to-side along the face pairings.  The
-        link is connected, since a vertex orbit is one class of that same
-        gluing relation."""
-        n = self.tet_count
-        # link vertices (t, v, w) = tet edge v-w seen from v, packed as ints
-        lv_uf = _UnionFind(16 * n)
-        glued_sides = [0] * (4 * n)
-        for t in range(n):
-            for f in range(4):
-                entry = self._gluings[t][f]
-                if entry is None:
-                    continue
-                (t2, _), p = entry
-                for v in range(4):
-                    if v == f:
-                        continue
-                    glued_sides[4 * t + v] += 1
-                    for w in range(4):
-                        if w != v and w != f:
-                            lv_uf.union((4 * t + v) * 4 + w,
-                                        (4 * t2 + p[v]) * 4 + p[w])
-
+        link vertices are the `_edge_uf` classes of the directed edges
+        leaving the orbit.  The link is connected, since a vertex orbit is
+        one class of that same gluing relation."""
         n_orbits = self.vertex_orbit_count
         faces = [0] * n_orbits
         glued = [0] * n_orbits
         lv_roots: list[set[int]] = [set() for _ in range(n_orbits)]
-        find_lv = lv_uf.find
+        find_lv = self._edge_uf.find
+        # the sides of corner (t, v) are the faces of t other than v
+        glued_faces = [4 - faces_t.count(None) for faces_t in self._gluings]
         for (t, v), o in self.vertex_orbit_index.items():
             c = 4 * t + v
             faces[o] += 1
-            glued[o] += glued_sides[c]
+            glued[o] += glued_faces[t] - (self._gluings[t][v] is not None)
             lv_roots[o].update(find_lv(c * 4 + w) for w in range(4) if w != v)
         # each corner triangle has 3 sides; glued sides pair up into one edge
         return [len(lv_roots[o]) - (glued[o] // 2 + 3 * faces[o] - glued[o]) + faces[o]

@@ -24,7 +24,6 @@ from cubecensus.cube_complex import (
     GluingPair,
     GluingSpecError,
     ManifoldCheck,
-    SpecPair,
     SquareSymmetry,
     build_quotient,
     cone_subdivide,
@@ -327,6 +326,17 @@ def test_double_cover_spec_subdivides_to_twice_the_size():
     assert cone_subdivide(cover).tet_count == 96
 
 
+def test_cubulation_spec_rejects_bad_slots():
+    pairs = parse_gluing_text(T3).pairs
+    assert CubulationSpec(1, tuple((0, 0, p) for p in pairs)).cube_count == 1
+    repeated = ((0, 0, pairs[0]), (0, 0, pairs[0]), (0, 0, pairs[2]))
+    out_of_range = ((0, 0, pairs[0]), (0, 1, pairs[1]), (0, 0, pairs[2]))
+    for cube_count, entries in ((1, repeated), (1, ((0, 0, pairs[0]),)),
+                                (1, out_of_range), (2, tuple((0, 0, p) for p in pairs))):
+        with pytest.raises(ValueError):
+            CubulationSpec(cube_count, entries)
+
+
 # -- manifold recognition -----------------------------------------------------------
 
 
@@ -382,7 +392,7 @@ def cone_check(spec):
         return ManifoldCheck(True, "all vertex links are 2-spheres")
     orbit, euler = failing
     rep = min((t, v) for (t, v), o in tri.vertex_orbit_index.items() if o == orbit)
-    label = subdivision_vertex_label(spec, *rep)
+    label = subdivision_vertex_label(*rep)
     return ManifoldCheck(
         False,
         f"vertex orbit {orbit} {label}: link euler={euler}, connected=True",
@@ -421,8 +431,7 @@ def test_manifold_test_agrees_with_the_cone_on_two_cube_lifts():
     for g in RAW_GLUINGS[::61]:
         for pattern in itertools.product((0, 1), repeat=3):
             spec = CubulationSpec(2, tuple(
-                SpecPair((s, p.face_a), (s ^ w, p.face_b), p.sym)
-                for p, w in zip(g.pairs, pattern) for s in (0, 1)))
+                (s, s ^ w, p) for p, w in zip(g.pairs, pattern) for s in (0, 1)))
             check = is_closed_manifold(spec)
             assert check == cone_check(spec), (str(g), pattern)
             lifts += 1

@@ -106,6 +106,13 @@ def test_valence_sum_and_boundary():
     assert sum(o.valence for o in tri.edge_orbits) == 6 * tri.tet_count
     assert not has_valence(tri, 2)
     assert has_valence(tri, 1)
+    # every vertex link of an unglued tetrahedron, and of two glued along
+    # one face, is a disc: corners with fewer than three glued sides
+    assert [tri.link_euler(o) for o in range(tri.vertex_orbit_count)] == [1] * 4
+    ident = (0, 1, 2, 3)
+    pair = Triangulation([[((1, 0), ident), None, None, None],
+                          [((0, 0), ident), None, None, None]])
+    assert [pair.link_euler(o) for o in range(pair.vertex_orbit_count)] == [1] * 5
 
 
 def test_empty_triangulation_has_no_valences():
