@@ -3,35 +3,51 @@
 Everything here runs on arbitrary-precision Python ints.  The matrices in
 this project are small (at most ~150x150, from subdivided cube complexes)
 and sparse: boundary maps have a few nonzeros per column, and the
-transformation matrices of their Smith normal forms are mostly zero.  So
-matrices are stored densely, but every loop that does arithmetic skips zero
-entries: products walk the nonzeros of both operands, and the row and column
-operations of the reduction touch only entries whose source entry is
-nonzero.  Skipping a zero term changes no result, so everything stays exact.
-The reduction is classical row/column reduction with the smallest-pivot
-rule, and every Smith normal form carries unimodular transformation
-certificates that are re-verified by full exact multiplication before the
-result is returned.
+transformation matrices of their Smith normal forms are mostly zero.
+`IntegerMatrix` keeps its dense entries, and derives once from them each
+row's nonzero (column, value) pairs, which products walk on both operands.
+The reduction works on sparse rows: the matrix and its four transforms are
+dict rows {column: nonzero value}, and the matrix also keeps, per column,
+the set of rows that are nonzero there, so every row and column operation
+touches only the nonzero entries it changes.  Skipping a zero term changes
+no result, so everything stays exact.  The reduction is classical
+row/column reduction with the smallest-pivot rule, and every Smith normal
+form carries unimodular transformation certificates that are re-verified by
+full exact multiplication of the returned matrices before the result is
+returned.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 
-def _eye(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
+def _eye(n: int) -> list[dict[int, int]]:
+    return [{i: 1} for i in range(n)]
 
 
-def _axpy(dst: list[int], src, q: int) -> None:
-    """dst += q * src in place, touching only the nonzero entries of src."""
-    for t, y in enumerate(src):
-        if y:
-            dst[t] += q * y
+def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """dst += q * src in place, for dict rows {column: nonzero value}; q != 0,
+    so an entry can only vanish where dst already held one."""
+    for t, y in src.items():
+        x = dst.get(t, 0) + q * y
+        if x:
+            dst[t] = x
+        else:
+            del dst[t]
+
+
+def _dense(rows: list[dict[int, int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """Dict rows as dense tuple rows of length n."""
+    out = []
+    for row in rows:
+        dense = [0] * n
+        for j, x in row.items():
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 def _is_diagonal(m: "IntegerMatrix", diag) -> bool:
@@ -71,25 +87,31 @@ class IntegerMatrix:
     def zero(rows: int, cols: int) -> "IntegerMatrix":
         return IntegerMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
+    @functools.cached_property
+    def _nonzero_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each row as its nonzero (column, value) pairs, derived once from
+        entries.  It lives outside the fields, so equality, hashing and
+        dataclasses.replace never see it."""
+        return tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in self.entries])
+
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         """Exact product self * other.
 
-        Each row of other is reduced once to its nonzero (column, value)
-        pairs; each nonzero a = self[i][k] then adds a * other[k] into a
-        dense accumulator for row i.  Zero terms are never formed, so the
-        cost is the number of nonzero products, not rows * inner * cols.
+        Each nonzero a = self[i][k] adds a * other[k], walked over its
+        nonzero (column, value) pairs, into a dense accumulator for row i.
+        Zero terms are never formed, so the cost is the number of nonzero
+        products, not rows * inner * cols.
         """
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         n = other.cols
-        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        right = other._nonzero_rows
         out = []
-        for row in self.entries:
+        for pairs in self._nonzero_rows:
             acc = [0] * n
-            for a, pairs in zip(row, sparse_rows):
-                if a:
-                    for j, b in pairs:
-                        acc[j] += a * b
+            for k, a in pairs:
+                for j, b in right[k]:
+                    acc[j] += a * b
             out.append(tuple(acc))
         return IntegerMatrix(self.rows, n, tuple(out))
 
@@ -121,32 +143,31 @@ class SmithNormalForm:
         return sum(1 for d in self.invariants if d % p != 0)
 
 
-def _pivot(a, k, rows, cols):
-    best = None
+def _pivot(a, k, rows):
+    """(row, column) of the smallest nonzero magnitude in rows k.., the first
+    in row-major order among equals, or None.  Rows k.. hold no entry left
+    of column k."""
+    best = 0
     for i in range(k, rows):
-        ai = a[i]
-        for j in range(k, cols):
-            x = ai[j]
-            if x != 0:
-                mag = x if x > 0 else -x
-                if best is None or mag < best[0]:
-                    best = (mag, i, j)
-                    if mag == 1:
-                        return best
-    return best
+        for j, x in a[i].items():
+            mag = x if x > 0 else -x
+            if not best or mag < best or (mag == best and i == bi and j < bj):
+                best, bi, bj = mag, i, j
+        if best == 1:
+            break
+    return (bi, bj) if best else None
 
 
-def _offender(a, k, rows, cols):
+def _offender(a, k, rows):
     """A column j > k holding an entry a[i][j], i > k, that the pivot a[k][k]
-    does not divide, or None."""
+    does not divide (the first in row-major order), or None."""
     p = a[k][k]
     if p in (1, -1):
         return None
     for i in range(k + 1, rows):
-        ai = a[i]
-        for j in range(k + 1, cols):
-            if ai[j] % p:
-                return j
+        bad = [j for j, x in a[i].items() if x % p]
+        if bad:
+            return min(bad)
     return None
 
 
@@ -158,49 +179,89 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     leaves a nonzero remainder in the pivot's row or column, or an entry the
     pivot does not divide, starts again from the pivot rule with a strictly
     smaller pivot, so every stage ends.
+
+    Every matrix is held as dict rows {column: nonzero value}, and nonzeros
+    of `a` are also indexed by column (in_col[j] is the set of rows i with
+    a[i][j] != 0), so each operation touches only the nonzero entries it
+    changes.  Rows and columns are visited in index order, as a row-major
+    scan of the dense matrix would meet them, so neither the operations nor
+    the result depend on the order of a dict or a set.
     """
     rows, cols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
+    a = [dict(pairs) for pairs in m._nonzero_rows]
+    in_col = [set() for _ in range(cols)]
+    for i, row in enumerate(a):
+        for j in row:
+            in_col[j].add(i)
     # u_inv and v are kept transposed, so each of their updates is a row update
     u, uinv_t, v_t, vinv = _eye(rows), _eye(rows), _eye(cols), _eye(cols)
 
     def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
+        ai, aj = a[i], a[j]
+        for c in ai.keys() - aj.keys():
+            in_col[c].remove(i)
+            in_col[c].add(j)
+        for c in aj.keys() - ai.keys():
+            in_col[c].remove(j)
+            in_col[c].add(i)
+        a[i], a[j] = aj, ai
         u[i], u[j] = u[j], u[i]
         uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
 
     def row_add(i, j, q):
         # row i += q * row j
-        _axpy(a[i], a[j], q)
+        ai = a[i]
+        for c, y in a[j].items():
+            x = ai.get(c, 0) + q * y
+            if x:
+                if c not in ai:
+                    in_col[c].add(i)
+                ai[c] = x
+            else:
+                del ai[c]
+                in_col[c].remove(i)
         _axpy(u[i], u[j], q)
         _axpy(uinv_t[j], uinv_t[i], -q)
 
     def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        uinv_t[i] = [-x for x in uinv_t[i]]
+        a[i] = {c: -x for c, x in a[i].items()}
+        u[i] = {c: -x for c, x in u[i].items()}
+        uinv_t[i] = {c: -x for c, x in uinv_t[i].items()}
 
     def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
+        for r in in_col[i] | in_col[j]:
+            ar = a[r]
+            x, y = ar.pop(i, 0), ar.pop(j, 0)
+            if y:
+                ar[i] = y
+            if x:
+                ar[j] = x
+        in_col[i], in_col[j] = in_col[j], in_col[i]
         v_t[i], v_t[j] = v_t[j], v_t[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def col_add(i, j, q):
         # col i += q * col j
-        for r in a:
-            if r[j]:
-                r[i] += q * r[j]
+        col_i = in_col[i]
+        for r in in_col[j]:
+            ar = a[r]
+            x = ar.get(i, 0) + q * ar[j]
+            if x:
+                ar[i] = x
+                col_i.add(r)
+            else:
+                del ar[i]
+                col_i.remove(r)
         _axpy(v_t[i], v_t[j], q)
         _axpy(vinv[j], vinv[i], -q)
 
     k = 0
     limit = min(rows, cols)
     while k < limit:
-        found = _pivot(a, k, rows, cols)
+        found = _pivot(a, k, rows)
         if found is None:
             break
-        _, pi, pj = found
+        pi, pj = found
         if pi != k:
             row_swap(k, pi)
         if pj != k:
@@ -209,22 +270,22 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
         # operations; a nonzero remainder is smaller than the pivot, so the
         # stage restarts and the pivot rule picks it up
         p = a[k][k]
-        for i in range(k + 1, rows):
-            if a[i][k]:
+        for i in sorted(in_col[k]):
+            if i > k:
                 q = a[i][k] // p
                 if q:
                     row_add(i, k, -q)
-        if any(a[i][k] for i in range(k + 1, rows)):
+        if len(in_col[k]) > 1:
             continue
-        for j in range(k + 1, cols):
-            if a[k][j]:
+        for j in sorted(a[k]):
+            if j > k:
                 q = a[k][j] // p
                 if q:
                     col_add(j, k, -q)
-        if any(a[k][j] for j in range(k + 1, cols)):
+        if len(a[k]) > 1:
             continue
         # enforce divisibility of the rest of the matrix by a[k][k]
-        offender = _offender(a, k, rows, cols)
+        offender = _offender(a, k, rows)
         if offender is not None:
             col_add(k, offender, 1)
             continue
@@ -232,14 +293,15 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
             row_neg(k)
         k += 1
 
-    invariants = tuple(a[i][i] for i in range(limit) if a[i][i] != 0)
+    # the stages leave a[i][i] > 0 for i < k and rows k.. empty
+    invariants = tuple(a[i][i] for i in range(k))
     result = SmithNormalForm(
         matrix=m,
         invariants=invariants,
-        u=IntegerMatrix(rows, rows, tuple(map(tuple, u))),
-        v=IntegerMatrix(cols, cols, tuple(zip(*v_t))),
-        u_inv=IntegerMatrix(rows, rows, tuple(zip(*uinv_t))),
-        v_inv=IntegerMatrix(cols, cols, tuple(map(tuple, vinv))),
+        u=IntegerMatrix(rows, rows, _dense(u, rows)),
+        v=IntegerMatrix(cols, cols, tuple(zip(*_dense(v_t, cols)))),
+        u_inv=IntegerMatrix(rows, rows, tuple(zip(*_dense(uinv_t, rows)))),
+        v_inv=IntegerMatrix(cols, cols, _dense(vinv, cols)),
     )
     _verify_certificate(result)
     return result
@@ -247,7 +309,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
 
 def _verify_certificate(s: SmithNormalForm) -> None:
     m = s.matrix
-    if not _is_diagonal(s.u.mul(m).mul(s.v), s.invariants):
+    if not _is_diagonal(s.u.mul(m.mul(s.v)), s.invariants):
         raise AssertionError("SNF certificate failed: u*m*v != diagonal")
     if not _is_diagonal(s.u.mul(s.u_inv), (1,) * m.rows):
         raise AssertionError("SNF certificate failed: u not unimodular")

@@ -377,8 +377,8 @@ def quotient_chain_complex(q: QuotientComplex):
             u, v = chart[i], chart[(i + 1) % 4]
             idx, sign = q.edge_orbit_of[(cube_a, u, v)]
             d2[idx][col] += sign
-    return (IntegerMatrix.from_rows(d2) if n_e else IntegerMatrix.zero(0, len(pairs)),
-            IntegerMatrix.from_rows(d1) if n_v else IntegerMatrix.zero(0, n_e))
+    return (IntegerMatrix(n_e, len(pairs), tuple(map(tuple, d2))),
+            IntegerMatrix(n_v, n_e, tuple(map(tuple, d1))))
 
 
 # -- cone subdivision --------------------------------------------------------

@@ -338,10 +338,10 @@ class Triangulation:
                 idx, sign = lookup[self._edge_key(t, x, y)]
                 col[idx] += s * sign
             d2_cols.append(col)
-        d1 = IntegerMatrix.from_rows([[d1_cols[j][i] for j in range(n_e)] for i in range(n_v)]) \
-            if n_v else IntegerMatrix.zero(0, n_e)
-        d2 = IntegerMatrix.from_rows([[d2_cols[j][i] for j in range(len(d2_cols))] for i in range(n_e)]) \
-            if n_e else IntegerMatrix.zero(0, len(d2_cols))
+        # transposing an empty list of columns would lose the row count
+        n_t = len(d2_cols)
+        d1 = IntegerMatrix(n_v, n_e, tuple(zip(*d1_cols))) if n_e else IntegerMatrix.zero(n_v, 0)
+        d2 = IntegerMatrix(n_e, n_t, tuple(zip(*d2_cols))) if n_t else IntegerMatrix.zero(n_e, 0)
         return d2, d1
 
     # -- reporting --------------------------------------------------------

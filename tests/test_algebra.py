@@ -249,6 +249,34 @@ def test_mul_matches_dense_product(operands):
     assert product.entries == expected.entries
 
 
+@settings(deadline=None, max_examples=100)
+@given(mul_operands(), st.data())
+def test_mul_row_cache_never_goes_stale(operands, data):
+    x, y = operands
+    # reuse each operand, on both sides, across several products
+    for left, right in [(x, y), (x, identity(x.cols)), (identity(x.rows), x), (x, y), (y, identity(y.cols))]:
+        assert left.mul(right).entries == dense_mul(left, right).entries
+    # a replaced matrix starts without the cache of the one it came from
+    value = data.draw(st.integers(1, 5))
+    x2 = dataclasses.replace(x, entries=tuple(tuple(a + value for a in row) for row in x.entries))
+    y2 = dataclasses.replace(y, entries=tuple(tuple(-b for b in row) for row in y.entries))
+    assert x2.mul(y).entries == dense_mul(x2, y).entries
+    assert x.mul(y2).entries == dense_mul(x, y2).entries
+    assert x.mul(y).entries == dense_mul(x, y).entries
+
+
+def test_mul_row_cache_is_not_part_of_equality_or_hash():
+    rows = ((0, 2, 0), (1, 0, -1))
+    used, fresh = IntegerMatrix(2, 3, rows), IntegerMatrix(2, 3, rows)
+    used.mul(identity(3))
+    identity(2).mul(used)
+    assert used == fresh and fresh == used
+    assert hash(used) == hash(fresh)
+    assert len({used, fresh}) == 1
+    assert [f.name for f in dataclasses.fields(IntegerMatrix)] == ["rows", "cols", "entries"]
+    assert dataclasses.replace(used) == fresh
+
+
 @pytest.mark.parametrize("left, right", [((2, 3), (2, 3)), ((0, 1), (0, 1)), ((3, 0), (1, 3))])
 def test_mul_rejects_shape_mismatch(left, right):
     with pytest.raises(ValueError):
@@ -263,6 +291,29 @@ def snf_inputs(draw):
 @settings(deadline=None, max_examples=150)
 @given(snf_inputs())
 def test_snf_matches_sympy_invariant_factors(m):
+    s = smith_normal_form(m)
+    expected = invariant_factors(Matrix([list(row) for row in m.entries]), domain=ZZ)
+    assert s.invariants == tuple(abs(int(d)) for d in expected if d != 0)
+    assert_certificate_by_dense_product(s)
+
+
+@st.composite
+def boundary_shaped(draw):
+    """Up to 16 x 32, each column holding 0-3 entries of magnitude 1 or 2 in
+    distinct rows, like the boundary maps of the cell complexes."""
+    rows, cols = draw(st.integers(1, 16)), draw(st.integers(1, 32))
+    columns = []
+    for _ in range(cols):
+        column = [0] * rows
+        for i in draw(st.lists(st.integers(0, rows - 1), max_size=3, unique=True)):
+            column[i] = draw(st.sampled_from((-2, -1, 1, 2)))
+        columns.append(column)
+    return IntegerMatrix(rows, cols, tuple(zip(*columns)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(boundary_shaped())
+def test_snf_of_boundary_shaped_matrices_matches_sympy(m):
     s = smith_normal_form(m)
     expected = invariant_factors(Matrix([list(row) for row in m.entries]), domain=ZZ)
     assert s.invariants == tuple(abs(int(d)) for d in expected if d != 0)
