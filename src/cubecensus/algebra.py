@@ -4,22 +4,20 @@ Everything here runs on arbitrary-precision Python ints.  The matrices in
 this project are small (at most ~150x150, from subdivided cube complexes)
 and sparse: boundary maps have a few nonzeros per column, and the
 transformation matrices of their Smith normal forms are mostly zero.
-`IntegerMatrix` keeps its dense entries, and derives once from them each
-row's nonzero (column, value) pairs, which products walk on both operands.
-The reduction works on sparse rows: the matrix and its four transforms are
-dict rows {column: nonzero value}, and the matrix also keeps, per column,
-the set of rows that are nonzero there, so every row and column operation
-touches only the nonzero entries it changes.  Skipping a zero term changes
-no result, so everything stays exact.  The reduction is classical
-row/column reduction with the smallest-pivot rule, and every Smith normal
-form carries unimodular transformation certificates that are re-verified by
-full exact multiplication of the returned matrices before the result is
-returned.
+`IntegerMatrix` keeps its entries densely, and a product skips the zero
+entries of both operands.  The reduction works on sparse rows: the matrix
+and its four transforms are dict rows {column: nonzero value}, and the
+matrix also keeps, per column, the set of rows that are nonzero there, so
+every row and column operation touches only the nonzero entries it
+changes.  Skipping a zero term changes no result, so everything stays
+exact.  The reduction is classical row/column reduction with the
+smallest-pivot rule, and every Smith normal form carries unimodular
+transformation certificates that are re-verified by full exact
+multiplication of the returned matrices before the result is returned.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -75,43 +73,28 @@ class IntegerMatrix:
             raise ValueError(f"entries do not form a {self.rows}x{self.cols} matrix")
 
     @staticmethod
-    def from_rows(data) -> "IntegerMatrix":
-        rows = [tuple(int(x) for x in row) for row in data]
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return IntegerMatrix(r, c, tuple(rows))
-
-    @staticmethod
     def zero(rows: int, cols: int) -> "IntegerMatrix":
         return IntegerMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    @functools.cached_property
-    def _nonzero_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each row as its nonzero (column, value) pairs, derived once from
-        entries.  It lives outside the fields, so equality, hashing and
-        dataclasses.replace never see it."""
-        return tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in self.entries])
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         """Exact product self * other.
 
-        Each nonzero a = self[i][k] adds a * other[k], walked over its
-        nonzero (column, value) pairs, into a dense accumulator for row i.
-        Zero terms are never formed, so the cost is the number of nonzero
-        products, not rows * inner * cols.
+        Each row of other is reduced once to its nonzero (column, value)
+        pairs; each nonzero a = self[i][k] then adds a * other[k] into a
+        dense accumulator for row i.  Zero terms are never formed, so the
+        cost is the number of nonzero products, not rows * inner * cols.
         """
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         n = other.cols
-        right = other._nonzero_rows
+        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
-        for pairs in self._nonzero_rows:
+        for row in self.entries:
             acc = [0] * n
-            for k, a in pairs:
-                for j, b in right[k]:
-                    acc[j] += a * b
+            for a, pairs in zip(row, sparse_rows):
+                if a:
+                    for j, b in pairs:
+                        acc[j] += a * b
             out.append(tuple(acc))
         return IntegerMatrix(self.rows, n, tuple(out))
 
@@ -188,7 +171,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     the result depend on the order of a dict or a set.
     """
     rows, cols = m.rows, m.cols
-    a = [dict(pairs) for pairs in m._nonzero_rows]
+    a = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
     in_col = [set() for _ in range(cols)]
     for i, row in enumerate(a):
         for j in row:

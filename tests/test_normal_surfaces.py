@@ -118,9 +118,10 @@ def test_vertex_surfaces_are_admissible_extreme_rays():
             for x in v:
                 g = gcd(g, x)
             assert g == 1
-            rows = [list(eq) for eq in equations]
-            rows += [[int(j == i) for j in range(len(v))] for i, x in enumerate(v) if x == 0]
-            assert smith_normal_form(IntegerMatrix.from_rows(rows)).rank == len(v) - 1
+            rows = [tuple(eq) for eq in equations]
+            rows += [tuple(int(j == i) for j in range(len(v))) for i, x in enumerate(v) if x == 0]
+            m = IntegerMatrix(len(rows), len(v), tuple(rows))
+            assert smith_normal_form(m).rank == len(v) - 1
 
 
 def test_vertex_surfaces_agree_with_unfiltered_double_description():
