@@ -4,12 +4,13 @@ Everything here runs on arbitrary-precision Python ints.  The matrices in
 this project are small (at most ~150x150, from subdivided cube complexes)
 and sparse: boundary maps have a few nonzeros per column, and the
 transformation matrices of their Smith normal forms are mostly zero.
-`IntegerMatrix` keeps its entries densely, and a product skips the zero
-entries of both operands.  The reduction works on sparse rows: the matrix
-and its four transforms are dict rows {column: nonzero value}, and the
-matrix also keeps, per column, the set of rows that are nonzero there, so
-every row and column operation touches only the nonzero entries it
-changes.  Skipping a zero term changes no result, so everything stays
+`IntegerMatrix` stores only its nonzero entries, row by row, as
+(column, value) pairs in increasing column order, and a product forms only
+the products of nonzero entries.  The reduction works on sparse rows too:
+the matrix and its four transforms are dict rows {column: nonzero value},
+and the matrix also keeps, per column, the set of rows that are nonzero
+there, so every row and column operation touches only the nonzero entries
+it changes.  Skipping a zero term changes no result, so everything stays
 exact.  The reduction is classical row/column reduction with the
 smallest-pivot rule, and every Smith normal form carries unimodular
 transformation certificates that are re-verified by full exact
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+Row = tuple[tuple[int, int], ...]  # (column, nonzero value), columns increasing
 
 
 def _eye(n: int) -> list[dict[int, int]]:
@@ -37,15 +40,19 @@ def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
             del dst[t]
 
 
-def _dense(rows: list[dict[int, int]], n: int) -> tuple[tuple[int, ...], ...]:
-    """Dict rows as dense tuple rows of length n."""
-    out = []
-    for row in rows:
-        dense = [0] * n
+def _terms(rows: list[dict[int, int]]) -> tuple[Row, ...]:
+    """Dict rows as sparse rows."""
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
+def _transposed_terms(rows: list[dict[int, int]], n: int) -> tuple[Row, ...]:
+    """The transpose of dict rows with n columns, as sparse rows.  Rows are
+    visited in order, so each column comes out sorted."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
         for j, x in row.items():
-            dense[j] = x
-        out.append(tuple(dense))
-    return tuple(out)
+            out[j].append((i, x))
+    return tuple(map(tuple, out))
 
 
 def _is_diagonal(m: "IntegerMatrix", diag) -> bool:
@@ -53,53 +60,80 @@ def _is_diagonal(m: "IntegerMatrix", diag) -> bool:
     everywhere else, without building that matrix."""
     if len(diag) > min(m.rows, m.cols):
         return False
-    for i, row in enumerate(m.entries):
+    for i, row in enumerate(m.terms):
         d = diag[i] if i < len(diag) else 0
-        if row.count(0) != m.cols - (d != 0) or (d and row[i] != d):
+        if row != (((i, d),) if d else ()):
             return False
     return True
 
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Immutable integer matrix, row-major."""
+    """Immutable integer matrix, stored as sparse rows: terms[i] holds the
+    (column, value) pairs of the nonzero entries of row i, with columns
+    strictly increasing.  Each matrix has exactly one such form, so equal
+    matrices compare and hash equal."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    terms: tuple[Row, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(row) != self.cols for row in self.entries):
-            raise ValueError(f"entries do not form a {self.rows}x{self.cols} matrix")
+        if type(self.terms) is not tuple or len(self.terms) != self.rows:
+            raise ValueError(f"terms do not hold {self.rows} rows")
+        cols = self.cols
+        for row in self.terms:
+            if type(row) is not tuple:
+                raise ValueError("a row must be a tuple of (column, value) pairs")
+            last = -1
+            for item in row:
+                if type(item) is not tuple:
+                    raise ValueError(f"row item {item!r} is not a (column, value) pair")
+                try:
+                    j, x = item
+                except ValueError:
+                    raise ValueError(f"row item {item!r} is not a (column, value) pair") from None
+                if type(j) is not int or type(x) is not int or not last < j < cols or not x:
+                    raise ValueError(f"row item {item!r} needs an int column in range and after "
+                                     f"column {last}, and a nonzero int value")
+                last = j
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntegerMatrix":
-        return IntegerMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+        return IntegerMatrix(rows, cols, ((),) * rows)
+
+    @staticmethod
+    def from_columns(rows: int, columns: list[dict[int, int]]) -> "IntegerMatrix":
+        """The rows x len(columns) matrix whose column j holds the entries
+        {row: value} of columns[j]; zero values are dropped."""
+        terms: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+        for j, column in enumerate(columns):
+            for i, x in column.items():
+                if x:
+                    terms[i].append((j, x))
+        return IntegerMatrix(rows, len(columns), tuple(map(tuple, terms)))
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         """Exact product self * other.
 
-        Each row of other is reduced once to its nonzero (column, value)
-        pairs; each nonzero a = self[i][k] then adds a * other[k] into a
-        dense accumulator for row i.  Zero terms are never formed, so the
-        cost is the number of nonzero products, not rows * inner * cols.
+        Each nonzero a = self[i][k] adds a * other[k] into a dict
+        accumulator for row i, so the cost is the number of nonzero
+        products, not rows * inner * cols.
         """
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        n = other.cols
-        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        right = other.terms
         out = []
-        for row in self.entries:
-            acc = [0] * n
-            for a, pairs in zip(row, sparse_rows):
-                if a:
-                    for j, b in pairs:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return IntegerMatrix(self.rows, n, tuple(out))
+        for row in self.terms:
+            acc: dict[int, int] = {}
+            for k, a in row:
+                for j, b in right[k]:
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+        return IntegerMatrix(self.rows, other.cols, tuple(out))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.terms)
 
 
 @dataclass(frozen=True)
@@ -171,7 +205,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     the result depend on the order of a dict or a set.
     """
     rows, cols = m.rows, m.cols
-    a = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    a = [dict(row) for row in m.terms]
     in_col = [set() for _ in range(cols)]
     for i, row in enumerate(a):
         for j in row:
@@ -281,10 +315,10 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     result = SmithNormalForm(
         matrix=m,
         invariants=invariants,
-        u=IntegerMatrix(rows, rows, _dense(u, rows)),
-        v=IntegerMatrix(cols, cols, tuple(zip(*_dense(v_t, cols)))),
-        u_inv=IntegerMatrix(rows, rows, tuple(zip(*_dense(uinv_t, rows)))),
-        v_inv=IntegerMatrix(cols, cols, _dense(vinv, cols)),
+        u=IntegerMatrix(rows, rows, _terms(u)),
+        v=IntegerMatrix(cols, cols, _transposed_terms(v_t, cols)),
+        u_inv=IntegerMatrix(rows, rows, _transposed_terms(uinv_t, rows)),
+        v_inv=IntegerMatrix(cols, cols, _terms(vinv)),
     )
     _verify_certificate(result)
     return result
@@ -322,29 +356,67 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
+def _edges_outside_a_spanning_forest(d1: IntegerMatrix) -> list[int]:
+    """Columns of the incidence matrix d1 (vertices x edges) that are not in
+    a breadth-first spanning forest of its graph, in increasing order.
+
+    Each column of d1 must be zero (a loop) or hold exactly one +1 and one
+    -1 (an edge from the -1 row to the +1 row); anything else raises
+    ValueError."""
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(d1.cols)]
+    for v, row in enumerate(d1.terms):
+        for e, x in row:
+            if x != 1 and x != -1:
+                raise ValueError(f"d1 is not an incidence matrix: entry {x} in column {e}")
+            ends[e].append((x, v))
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(d1.rows)]
+    for e, pair in enumerate(ends):
+        if not pair:
+            continue
+        if len(pair) != 2 or pair[0][0] == pair[1][0]:
+            raise ValueError(f"d1 is not an incidence matrix: column {e} is {pair}")
+        (_, v), (_, w) = pair
+        adjacent[v].append((e, w))
+        adjacent[w].append((e, v))
+    in_forest = [False] * d1.cols
+    seen = [False] * d1.rows
+    for root in range(d1.rows):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for v in queue:
+            for e, w in adjacent[v]:
+                if not seen[w]:
+                    seen[w] = in_forest[e] = True
+                    queue.append(w)
+    return [e for e in range(d1.cols) if not in_forest[e]]
+
+
 def h1_of_chain_complex(d2: IntegerMatrix, d1: IntegerMatrix) -> AbelianInvariants:
     """First homology ker(d1)/im(d2) of a chain complex of free Z-modules.
 
-    d1 maps 1-chains to 0-chains (shape V x E) and d2 maps 2-chains to
-    1-chains (shape E x F); requires d1 * d2 = 0.
+    d1 maps 1-chains to 0-chains (shape V x E) and must be the incidence
+    matrix of a graph; d2 maps 2-chains to 1-chains (shape E x F); requires
+    d1 * d2 = 0.
+
+    Fix a spanning forest T of the graph.  A 1-cycle is determined by its
+    coefficients on the edges outside T, and every choice of those
+    coefficients is met by exactly one cycle, so projecting onto them is an
+    isomorphism ker(d1) -> Z^(E - T).  It carries im(d2), which lies in
+    ker(d1), to the span of the columns of d2 restricted to the rows
+    outside T.  So H1 is the cokernel of that restriction: one Smith normal
+    form, exact for any graph, connected or not.
     """
     if d1.cols != d2.rows:
         raise ValueError("chain complex shape mismatch")
     if not d1.mul(d2).is_zero():
         raise ValueError("not a chain complex: d1 * d2 != 0")
-    n = d1.cols
-    snf1 = smith_normal_form(d1)
-    r1 = snf1.rank
-    # Columns r1..n-1 of v span ker(d1); rewrite im(d2) in that basis.
-    y = snf1.v_inv.mul(d2)
-    for i in range(r1):
-        if any(x != 0 for x in y.entries[i]):
-            raise AssertionError("im(d2) not contained in ker(d1)")
-    w = IntegerMatrix(n - r1, d2.cols, y.entries[r1:])
+    outside = _edges_outside_a_spanning_forest(d1)
+    w = IntegerMatrix(len(outside), d2.cols, tuple(d2.terms[e] for e in outside))
     snf_w = smith_normal_form(w)
     torsion = tuple(d for d in snf_w.invariants if d > 1)
-    rank = (n - r1) - snf_w.rank
-    return AbelianInvariants(rank=rank, torsion=torsion)
+    return AbelianInvariants(rank=len(outside) - snf_w.rank, torsion=torsion)
 
 
 def h1_with_coefficients(d2: IntegerMatrix, d1: IntegerMatrix, p: int) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import IntegerMatrix
-from .triangulation import Triangulation, _UnionFind
+from .triangulation import Triangulation, class_roots
 
 CORNER_COORDS = tuple((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1))
 
@@ -302,42 +302,39 @@ def build_quotient(spec: CubulationSpec) -> QuotientComplex:
     """Finest cell partition closed under all gluing maps; orbit numbering
     follows the smallest contained cell id so output is reproducible."""
     nc = spec.cube_count
-    v_uf = _UnionFind(8 * nc)
-    e_uf = _UnionFind(64 * nc)  # directed edges indexed by (cube, u, v)
-
-    def ekey(cube, u, v):
-        return cube * 64 + u * 8 + v
-
+    v_pairs, e_pairs = [], []  # directed edges keyed by 64 * cube + 8 * u + v
     for ca, cb, pair in spec.pairs:
         cmap = pair.corner_map()
         chart = CHARTS[pair.face_a]
         for i in range(4):
             u, v = chart[i], chart[(i + 1) % 4]
             u2, v2 = cmap[u], cmap[v]
-            v_uf.union(8 * ca + u, 8 * cb + u2)
-            e_uf.union(ekey(ca, u, v), ekey(cb, u2, v2))
-            e_uf.union(ekey(ca, v, u), ekey(cb, v2, u2))
+            v_pairs.append((8 * ca + u, 8 * cb + u2))
+            e_pairs.append((64 * ca + 8 * u + v, 64 * cb + 8 * u2 + v2))
+            e_pairs.append((64 * ca + 8 * v + u, 64 * cb + 8 * v2 + u2))
+    v_root = class_roots(8 * nc, v_pairs)
+    e_root = class_roots(64 * nc, e_pairs)
 
-    v_roots = sorted({v_uf.find(8 * c + v) for c in range(nc) for v in range(8)})
+    v_roots = sorted(set(v_root))
     v_renum = {r: i for i, r in enumerate(v_roots)}
-    vertex_orbit_of = {(c, v): v_renum[v_uf.find(8 * c + v)]
+    vertex_orbit_of = {(c, v): v_renum[v_root[8 * c + v]]
                        for c in range(nc) for v in range(8)}
 
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for c in range(nc):
         for (u, v) in _CUBE_EDGES:
-            root = min(e_uf.find(ekey(c, u, v)), e_uf.find(ekey(c, v, u)))
+            root = min(e_root[64 * c + 8 * u + v], e_root[64 * c + 8 * v + u])
             groups.setdefault(root, []).append((c, u, v))
     edge_orbit_of: dict[tuple[int, int, int], tuple[int, int]] = {}
     reversed_orbits = []
     for idx, root in enumerate(sorted(groups)):
         members = sorted(groups[root])
         c0, u0, v0 = members[0]
-        fwd = e_uf.find(ekey(c0, u0, v0))
-        if fwd == e_uf.find(ekey(c0, v0, u0)):
+        fwd = e_root[64 * c0 + 8 * u0 + v0]
+        if fwd == e_root[64 * c0 + 8 * v0 + u0]:
             reversed_orbits.append(idx)
         for (c, u, v) in members:
-            sign = 1 if e_uf.find(ekey(c, u, v)) == fwd else -1
+            sign = 1 if e_root[64 * c + 8 * u + v] == fwd else -1
             edge_orbit_of[(c, u, v)] = (idx, sign)
             edge_orbit_of[(c, v, u)] = (idx, -sign)
 
@@ -358,27 +355,29 @@ def quotient_chain_complex(q: QuotientComplex):
     if q.reversed_edge_orbits:
         raise ValueError("chain complex undefined: edge orbit reversed onto itself")
     n_v, n_e = q.vertex_orbit_count, q.edge_orbit_count
-    d1 = [[0] * n_e for _ in range(n_v)]
     # representative of each orbit: smallest (cube, u, v) with sign +1
     rep: dict[int, tuple[int, int, int]] = {}
     for key in sorted(q.edge_orbit_of):
         idx, sign = q.edge_orbit_of[key]
         if sign == 1 and idx not in rep:
             rep[idx] = key
-    for idx, (c, u, v) in rep.items():
-        d1[q.vertex_orbit_of[(c, v)]][idx] += 1
-        d1[q.vertex_orbit_of[(c, u)]][idx] -= 1
+    d1_cols = []
+    for idx in range(n_e):
+        c, u, v = rep[idx]
+        head, tail = q.vertex_orbit_of[(c, v)], q.vertex_orbit_of[(c, u)]
+        d1_cols.append({head: 1, tail: -1} if head != tail else {})
 
     pairs = sorted(q.spec.pairs, key=lambda e: (e[0], e[2].face_a.index))
-    d2 = [[0] * len(pairs) for _ in range(n_e)]
-    for col, (cube_a, _, pair) in enumerate(pairs):
+    d2_cols = []
+    for cube_a, _, pair in pairs:
         chart = CHARTS[pair.face_a]
+        col: dict[int, int] = {}
         for i in range(4):
             u, v = chart[i], chart[(i + 1) % 4]
             idx, sign = q.edge_orbit_of[(cube_a, u, v)]
-            d2[idx][col] += sign
-    return (IntegerMatrix(n_e, len(pairs), tuple(map(tuple, d2))),
-            IntegerMatrix(n_v, n_e, tuple(map(tuple, d1))))
+            col[idx] = col.get(idx, 0) + sign
+        d2_cols.append(col)
+    return IntegerMatrix.from_columns(n_e, d2_cols), IntegerMatrix.from_columns(n_v, d1_cols)
 
 
 # -- cone subdivision --------------------------------------------------------
@@ -573,13 +572,12 @@ ALREADY_ORIENTABLE = "already orientable"
 def quotient_is_orientable(spec: CubulationSpec) -> bool:
     """Propagate cube orientations: a gluing written `r<k>` is compatible
     with coherent orientations and `r<k>m` flips them."""
-    parity_uf = _UnionFind(2 * spec.cube_count)
+    pairs = []
     for ca, cb, pair in spec.pairs:
         w = 1 if pair.sym.reflected else 0
-        parity_uf.union(2 * ca, 2 * cb + w)
-        parity_uf.union(2 * ca + 1, 2 * cb + 1 - w)
-    return all(parity_uf.find(2 * c) != parity_uf.find(2 * c + 1)
-               for c in range(spec.cube_count))
+        pairs += [(2 * ca, 2 * cb + w), (2 * ca + 1, 2 * cb + 1 - w)]
+    parity = class_roots(2 * spec.cube_count, pairs)
+    return all(parity[2 * c] != parity[2 * c + 1] for c in range(spec.cube_count))
 
 
 def orientation_double_cover(spec: CubulationSpec):

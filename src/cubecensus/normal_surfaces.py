@@ -39,7 +39,7 @@ import enum
 from dataclasses import dataclass
 from math import gcd
 
-from .triangulation import Triangulation, _UnionFind
+from .triangulation import Triangulation, class_roots
 
 # _QUAD[a][b]: the quadrilateral type with slots a and b on the same side
 _QUAD = ((None, 0, 1, 2), (0, None, 2, 1), (1, 2, None, 0), (2, 1, 0, None))
@@ -73,15 +73,6 @@ class SurfaceSummary:
     separating: bool  # the mod-2 edge-weight cochain is a coboundary
 
 
-def _face_pairs(tri: Triangulation):
-    """Each glued face pair once, as (t, f, t2, f2, p)."""
-    for t in range(tri.tet_count):
-        for f in range(4):
-            (t2, f2), p = tri.gluing(t, f)
-            if (t, f) < (t2, f2):
-                yield t, f, t2, f2, p
-
-
 def _arcs(coords, t: int, f: int, v: int) -> int:
     """Normal arcs around corner v in face f of tetrahedron t."""
     return coords[7 * t + v] + coords[7 * t + 4 + _QUAD[v][f]]
@@ -99,7 +90,7 @@ def matching_equations(tri: Triangulation) -> list[tuple[int, ...]]:
     if not tri.is_closed:
         raise ValueError("normal surfaces need a closed triangulation")
     equations = []
-    for t, f, t2, f2, p in _face_pairs(tri):
+    for t, f, t2, f2, p in tri.face_pairs:
         for v in range(4):
             if v == f:
                 continue
@@ -177,7 +168,7 @@ def normal_euler_characteristic(tri: Triangulation, coords) -> int:
     normal arcs plus discs, counted once per edge orbit and triangle orbit."""
     points = sum(_edge_weight(coords, *orbit.representative) for orbit in tri.edge_orbits)
     arcs = sum(_arcs(coords, t, f, v)
-               for t, f, *_ in _face_pairs(tri) for v in range(4) if v != f)
+               for t, f, *_ in tri.face_pairs for v in range(4) if v != f)
     return points - arcs + sum(coords)
 
 
@@ -211,7 +202,7 @@ def _coordinate_problem(tri: Triangulation, coords) -> str | None:
     for t in range(tri.tet_count):
         if sum(1 for q in range(3) if coords[7 * t + 4 + q]) > 1:
             return f"quadrilateral constraint fails in tetrahedron {t}"
-    for t, f, t2, f2, p in _face_pairs(tri):
+    for t, f, t2, f2, p in tri.face_pairs:
         for v in range(4):
             if v != f and _arcs(coords, t, f, v) != _arcs(coords, t2, f2, p[v]):
                 return (f"matching equation fails on face {t}:{f} -> {t2}:{f2} "
@@ -271,10 +262,9 @@ def _summarise(tri: Triangulation, coords) -> SurfaceSummary:
         return point_index[(t, b, a, _edge_weight(coords, t, a, b) - 1 - i)]
 
     # node 2d is the positive side of disc d, node 2d + 1 its negative side
-    sides = _UnionFind(2 * discs)
-    points = _UnionFind(len(point_index))
+    side_pairs, point_pairs = [], []
     arc_count = 0
-    for t, f, t2, f2, p in _face_pairs(tri):
+    for t, f, t2, f2, p in tri.face_pairs:
         for v in range(4):
             if v == f:
                 continue
@@ -283,18 +273,17 @@ def _summarise(tri: Triangulation, coords) -> SurfaceSummary:
             arc_count += len(here)
             for (d1, s1), (d2, s2) in zip(here, there):
                 flip = int(s1 != s2)
-                sides.union(2 * d1, 2 * d2 + flip)
-                sides.union(2 * d1 + 1, 2 * d2 + 1 - flip)
+                side_pairs += [(2 * d1, 2 * d2 + flip), (2 * d1 + 1, 2 * d2 + 1 - flip)]
             for w in range(4):
                 if w != v and w != f:
                     for i in range(len(here)):
-                        points.union(point(t, v, w, i), point(t2, p[v], p[w], i))
-
-    start = {sides.find(0), sides.find(1)}
+                        point_pairs.append((point(t, v, w, i), point(t2, p[v], p[w], i)))
+    sides = class_roots(2 * discs, side_pairs)
+    start = {sides[0], sides[1]}
     return SurfaceSummary(
-        euler=len({points.find(i) for i in range(len(point_index))}) - arc_count + discs,
-        connected=all(sides.find(2 * d) in start for d in range(discs)),
-        two_sided=all(sides.find(2 * d) != sides.find(2 * d + 1) for d in range(discs)),
+        euler=len(set(class_roots(len(point_index), point_pairs))) - arc_count + discs,
+        connected=all(sides[2 * d] in start for d in range(discs)),
+        two_sided=all(sides[2 * d] != sides[2 * d + 1] for d in range(discs)),
         separating=_is_coboundary(tri, coords),
     )
 
@@ -303,15 +292,14 @@ def _is_coboundary(tri: Triangulation, coords) -> bool:
     """Whether some labelling g of the vertex orbits by Z/2 has
     g(a) + g(b) equal to the edge weight mod 2 on every edge orbit a-b."""
     vertex = tri.vertex_orbit_index
-    parity = _UnionFind(2 * tri.vertex_orbit_count)  # node 2u + g: u labelled g
+    pairs = []  # node 2u + g: u labelled g
     for orbit in tri.edge_orbits:
         t, a, b = orbit.representative
         c = _edge_weight(coords, t, a, b) % 2
         u, w = vertex[(t, a)], vertex[(t, b)]
-        parity.union(2 * u, 2 * w + c)
-        parity.union(2 * u + 1, 2 * w + 1 - c)
-    return all(parity.find(2 * u) != parity.find(2 * u + 1)
-               for u in range(tri.vertex_orbit_count))
+        pairs += [(2 * u, 2 * w + c), (2 * u + 1, 2 * w + 1 - c)]
+    parity = class_roots(2 * tri.vertex_orbit_count, pairs)
+    return all(parity[2 * u] != parity[2 * u + 1] for u in range(tri.vertex_orbit_count))
 
 
 def check_certificate(tri: Triangulation, cert: Certificate) -> CertificateCheck:

@@ -19,6 +19,9 @@ from .algebra import IntegerMatrix
 Perm4 = tuple[int, int, int, int]
 Gluing = tuple[tuple[int, int], Perm4]  # ((tet', face'), vertex bijection)
 
+_TET_EDGES = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
+_FACE_VERTICES = tuple(tuple(v for v in range(4) if v != f) for f in range(4))
+
 
 def perm_inverse(p: Perm4) -> Perm4:
     q = [0, 0, 0, 0]
@@ -36,27 +39,26 @@ def perm_sign(p: Perm4) -> int:
     return sign
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+def class_roots(size: int, pairs) -> list[int]:
+    """Classes of 0..size-1 under the equivalence generated by `pairs`, as a
+    list giving each element the smallest element of its class.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+    Union-find with path halving: a union links the larger root under the
+    smaller, so parent[x] <= x throughout, and one pass in increasing order
+    then compresses every path to its root."""
+    parent = list(range(size))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for x in range(size):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
 @dataclass(frozen=True)
@@ -116,28 +118,32 @@ class Triangulation:
     def is_closed(self) -> bool:
         return all(g is not None for faces in self._gluings for g in faces)
 
+    @cached_property
+    def face_pairs(self) -> tuple[tuple[int, int, int, int, Perm4], ...]:
+        """Each glued face pair once, as (t, f, t2, f2, p) with
+        (t, f) < (t2, f2)."""
+        pairs = []
+        for t, faces in enumerate(self._gluings):
+            for f, entry in enumerate(faces):
+                if entry is not None and (t, f) < entry[0]:
+                    (t2, f2), p = entry
+                    pairs.append((t, f, t2, f2, p))
+        return tuple(pairs)
+
     # -- vertices ---------------------------------------------------------
 
     @cached_property
-    def _vertex_uf(self) -> _UnionFind:
-        uf = _UnionFind(4 * self.tet_count)
-        for t in range(self.tet_count):
-            for f in range(4):
-                entry = self._gluings[t][f]
-                if entry is None:
-                    continue
-                (t2, _), p = entry
-                for v in range(4):
-                    if v != f:
-                        uf.union(4 * t + v, 4 * t2 + p[v])
-        return uf
+    def _vertex_roots(self) -> list[int]:
+        """Vertex classes keyed by 4 * tet + slot, as `class_roots` gives them."""
+        return class_roots(4 * self.tet_count, [
+            (4 * t + v, 4 * t2 + p[v])
+            for t, f, t2, _, p in self.face_pairs for v in range(4) if v != f])
 
     @cached_property
     def vertex_orbit_index(self) -> dict[tuple[int, int], int]:
-        uf = self._vertex_uf
-        roots = sorted({uf.find(i) for i in range(4 * self.tet_count)})
-        renum = {r: i for i, r in enumerate(roots)}
-        return {(t, v): renum[uf.find(4 * t + v)]
+        roots = self._vertex_roots
+        renum = {r: i for i, r in enumerate(sorted(set(roots)))}
+        return {(t, v): renum[roots[4 * t + v]]
                 for t in range(self.tet_count) for v in range(4)}
 
     @property
@@ -146,45 +152,35 @@ class Triangulation:
 
     # -- edges ------------------------------------------------------------
 
-    def _edge_key(self, t: int, a: int, b: int) -> int:
-        return (t * 4 + a) * 4 + b
+    # the directed edge from slot a to slot b of tetrahedron t has key
+    # 16 * t + 4 * a + b; seen from a, the same key is the vertex of a's link
+    # on edge a-b
 
     @cached_property
-    def _edge_uf(self) -> _UnionFind:
-        """Classes of directed edges (t, a, b), keyed by `_edge_key`.  Seen
-        from a, the same key is the vertex of a's link on edge a-b."""
-        uf = _UnionFind(16 * self.tet_count)
-        for t in range(self.tet_count):
-            for f in range(4):
-                entry = self._gluings[t][f]
-                if entry is None:
-                    continue
-                (t2, _), p = entry
-                for a in range(4):
-                    if a == f:
-                        continue
-                    for b in range(4):
-                        if b != a and b != f:
-                            uf.union((4 * t + a) * 4 + b, (4 * t2 + p[a]) * 4 + p[b])
-        return uf
+    def _edge_roots(self) -> list[int]:
+        """Classes of directed edges, by key, as `class_roots` gives them."""
+        return class_roots(16 * self.tet_count, [
+            (16 * t + 4 * a + b, 16 * t2 + 4 * p[a] + p[b])
+            for t, f, t2, _, p in self.face_pairs
+            for a in range(4) if a != f
+            for b in range(4) if b != a and b != f])
 
     @cached_property
     def edge_orbits(self) -> tuple[EdgeOrbit, ...]:
-        uf = self._edge_uf
+        roots = self._edge_roots
         groups: dict[int, list[tuple[int, int, int]]] = {}
         for t in range(self.tet_count):
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    root = min(uf.find(self._edge_key(t, a, b)),
-                               uf.find(self._edge_key(t, b, a)))
-                    groups.setdefault(root, []).append((t, a, b))
+            for a, b in _TET_EDGES:
+                root = min(roots[16 * t + 4 * a + b], roots[16 * t + 4 * b + a])
+                groups.setdefault(root, []).append((t, a, b))
+        edge_labels = self.edge_labels
         orbits = []
         for idx, root in enumerate(sorted(groups)):
-            members = tuple(sorted(groups[root]))
+            members = tuple(groups[root])  # appended in increasing order
             t0, a0, b0 = members[0]
-            rev = uf.find(self._edge_key(t0, a0, b0)) == uf.find(self._edge_key(t0, b0, a0))
-            labels = {self.edge_labels.get((t, frozenset((a, b))), "other")
-                      for (t, a, b) in members}
+            rev = roots[16 * t0 + 4 * a0 + b0] == roots[16 * t0 + 4 * b0 + a0]
+            labels = {edge_labels.get((t, frozenset((a, b))), "other")
+                      for (t, a, b) in members} if edge_labels else {"other"}
             if len(labels) != 1:
                 raise AssertionError(f"edge orbit mixes provenance labels: {labels}")
             orbits.append(EdgeOrbit(
@@ -198,18 +194,17 @@ class Triangulation:
         return tuple(orbits)
 
     @cached_property
-    def _edge_orbit_lookup(self) -> dict[int, tuple[int, int]]:
-        """directed edge key -> (orbit index, sign relative to representative)."""
-        uf = self._edge_uf
-        out: dict[int, tuple[int, int]] = {}
+    def _edge_orbit_lookup(self) -> list[tuple[int, int] | None]:
+        """Directed edge key -> (orbit index, sign relative to the
+        representative)."""
+        roots = self._edge_roots
+        out: list[tuple[int, int] | None] = [None] * (16 * self.tet_count)
         for orbit in self.edge_orbits:
             t0, a0, b0 = orbit.representative
-            fwd = uf.find(self._edge_key(t0, a0, b0))
+            fwd = roots[16 * t0 + 4 * a0 + b0]
             for (t, a, b) in orbit.members:
-                for (x, y) in ((a, b), (b, a)):
-                    key = self._edge_key(t, x, y)
-                    sign = 1 if uf.find(key) == fwd else -1
-                    out[key] = (orbit.index, sign)
+                for key in (16 * t + 4 * a + b, 16 * t + 4 * b + a):
+                    out[key] = (orbit.index, 1 if roots[key] == fwd else -1)
         return out
 
     @cached_property
@@ -220,21 +215,16 @@ class Triangulation:
 
     @cached_property
     def triangle_orbits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        seen = set()
+        """One orbit per unglued face and per glued face pair, each listing
+        its faces in increasing order, the orbits in increasing order."""
         orbits = []
-        for t in range(self.tet_count):
-            for f in range(4):
-                if (t, f) in seen:
-                    continue
-                entry = self._gluings[t][f]
+        for t, faces in enumerate(self._gluings):
+            for f, entry in enumerate(faces):
                 if entry is None:
                     orbits.append(((t, f),))
-                    seen.add((t, f))
-                else:
-                    (t2, f2), _ = entry
-                    orbits.append(tuple(sorted({(t, f), (t2, f2)})))
-                    seen.update({(t, f), (t2, f2)})
-        return tuple(sorted(orbits))
+                elif (t, f) < entry[0]:
+                    orbits.append(((t, f), entry[0]))
+        return tuple(orbits)
 
     def euler_characteristic(self) -> int:
         return (self.vertex_orbit_count - len(self.edge_orbits)
@@ -247,21 +237,21 @@ class Triangulation:
         """Per vertex orbit: the Euler characteristic of its link surface,
         assembled from one corner triangle per (tet, vertex) incidence with
         corner triangles glued side-to-side along the face pairings.  The
-        link vertices are the `_edge_uf` classes of the directed edges
+        link vertices are the `_edge_roots` classes of the directed edges
         leaving the orbit.  The link is connected, since a vertex orbit is
         one class of that same gluing relation."""
         n_orbits = self.vertex_orbit_count
         faces = [0] * n_orbits
         glued = [0] * n_orbits
         lv_roots: list[set[int]] = [set() for _ in range(n_orbits)]
-        find_lv = self._edge_uf.find
+        edge_roots = self._edge_roots
         # the sides of corner (t, v) are the faces of t other than v
         glued_faces = [4 - faces_t.count(None) for faces_t in self._gluings]
         for (t, v), o in self.vertex_orbit_index.items():
             c = 4 * t + v
             faces[o] += 1
             glued[o] += glued_faces[t] - (self._gluings[t][v] is not None)
-            lv_roots[o].update(find_lv(c * 4 + w) for w in range(4) if w != v)
+            lv_roots[o].update(edge_roots[c * 4 + w] for w in range(4) if w != v)
         # each corner triangle has 3 sides; glued sides pair up into one edge
         return [len(lv_roots[o]) - (glued[o] // 2 + 3 * faces[o] - glued[o]) + faces[o]
                 for o in range(n_orbits)]
@@ -320,29 +310,23 @@ class Triangulation:
         if self.has_reversed_edge:
             raise ValueError("chain complex undefined: an edge orbit is reversed onto itself")
         lookup = self._edge_orbit_lookup
-        n_e = len(self.edge_orbits)
-        n_v = self.vertex_orbit_count
+        vertex = self.vertex_orbit_index
         d1_cols = []
         for orbit in self.edge_orbits:
             t, a, b = orbit.representative
-            col = [0] * n_v
-            col[self.vertex_orbit_index[(t, b)]] += 1
-            col[self.vertex_orbit_index[(t, a)]] -= 1
-            d1_cols.append(col)
+            head, tail = vertex[(t, b)], vertex[(t, a)]
+            d1_cols.append({head: 1, tail: -1} if head != tail else {})
         d2_cols = []
         for tri in self.triangle_orbits:
             t, f = tri[0]
-            a, b, c = [v for v in range(4) if v != f]
-            col = [0] * n_e
+            a, b, c = _FACE_VERTICES[f]
+            col: dict[int, int] = {}
             for (x, y, s) in ((a, b, 1), (b, c, 1), (a, c, -1)):
-                idx, sign = lookup[self._edge_key(t, x, y)]
-                col[idx] += s * sign
+                idx, sign = lookup[16 * t + 4 * x + y]
+                col[idx] = col.get(idx, 0) + s * sign
             d2_cols.append(col)
-        # transposing an empty list of columns would lose the row count
-        n_t = len(d2_cols)
-        d1 = IntegerMatrix(n_v, n_e, tuple(zip(*d1_cols))) if n_e else IntegerMatrix.zero(n_v, 0)
-        d2 = IntegerMatrix(n_e, n_t, tuple(zip(*d2_cols))) if n_t else IntegerMatrix.zero(n_e, 0)
-        return d2, d1
+        return (IntegerMatrix.from_columns(len(d1_cols), d2_cols),
+                IntegerMatrix.from_columns(self.vertex_orbit_count, d1_cols))
 
     # -- reporting --------------------------------------------------------
 

@@ -142,7 +142,8 @@ def test_criterion_3_four_flat_nonorientable_classes(full_census, p2_certificate
 
 def test_criterion_4_no_nonorientable_class_with_h1_z(full_census, p2_certificates):
     # the excluded torus bundle has H1 = Z: cokernel of (monodromy - I)
-    monodromy_minus_i = IntegerMatrix(2, 2, ((0, 1), (1, -1)))
+    # [[0, 1], [1, -1]] as sparse rows of (column, value) pairs
+    monodromy_minus_i = IntegerMatrix(2, 2, (((1, 1),), ((0, 1), (1, -1))))
     assert smith_normal_form(monodromy_minus_i).invariants == (1, 1)
 
     all_h1_z = [r.class_id for r in full_census.rows

@@ -3,7 +3,9 @@
 The independent oracles here share no code with the row/column reduction
 and the sparse product under test: invariant factors from gcds of k x k
 minors (d_1 * ... * d_k = gcd of all k x k minors), sympy's invariant
-factors, and a textbook dense product that forms every term.
+factors, a textbook dense product that forms every term, and H1 by two
+Smith normal forms (of d1, then of im(d2) in a basis of ker(d1)).  The
+oracles read a matrix through `dense`, which expands its sparse rows.
 """
 
 import dataclasses
@@ -25,10 +27,39 @@ from cubecensus.algebra import (
     mod_p_dimension,
     smith_normal_form,
 )
+from cubecensus.blocks import assemble_triangulation
 from cubecensus.census import reference_table
-from cubecensus.cube_complex import cone_subdivide
+from cubecensus.cube_complex import (
+    build_quotient,
+    cone_subdivide,
+    double_cover,
+    quotient_chain_complex,
+    quotient_is_orientable,
+)
 
 BIG = 10 ** 30
+
+
+def dense(m: IntegerMatrix) -> tuple[tuple[int, ...], ...]:
+    """The entries of m as dense rows, expanded from its sparse rows."""
+    out = []
+    for row in m.terms:
+        full = [0] * m.cols
+        for j, x in row:
+            full[j] = x
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def sparse(rows):
+    """Dense rows as sparse rows of (column, value) pairs."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
+
+def from_rows(rows) -> IntegerMatrix:
+    """The matrix with these dense rows."""
+    rows = [list(row) for row in rows]
+    return IntegerMatrix(len(rows), len(rows[0]) if rows else 0, sparse(rows))
 
 
 def dense_mul(x: IntegerMatrix, y: IntegerMatrix) -> IntegerMatrix:
@@ -36,10 +67,9 @@ def dense_mul(x: IntegerMatrix, y: IntegerMatrix) -> IntegerMatrix:
     with a column of y, zero terms included."""
     if x.cols != y.rows:
         raise ValueError("shape mismatch")
-    cols = list(zip(*y.entries)) if y.entries and y.cols else [()] * y.cols
-    return IntegerMatrix(x.rows, y.cols,
-                         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                               for row in x.entries))
+    cols = list(zip(*dense(y))) if y.rows and y.cols else [()] * y.cols
+    return IntegerMatrix(x.rows, y.cols, sparse(
+        tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in dense(x)))
 
 
 def diagonal_entries(rows: int, cols: int, diag) -> tuple[tuple[int, ...], ...]:
@@ -49,27 +79,23 @@ def diagonal_entries(rows: int, cols: int, diag) -> tuple[tuple[int, ...], ...]:
 
 def assert_certificate_by_dense_product(s) -> None:
     m = s.matrix
-    assert dense_mul(dense_mul(s.u, m), s.v).entries == diagonal_entries(m.rows, m.cols, s.invariants)
-    assert dense_mul(s.u, s.u_inv).entries == diagonal_entries(m.rows, m.rows, (1,) * m.rows)
-    assert dense_mul(s.v, s.v_inv).entries == diagonal_entries(m.cols, m.cols, (1,) * m.cols)
+    assert dense(dense_mul(dense_mul(s.u, m), s.v)) == diagonal_entries(m.rows, m.cols, s.invariants)
+    assert dense(dense_mul(s.u, s.u_inv)) == diagonal_entries(m.rows, m.rows, (1,) * m.rows)
+    assert dense(dense_mul(s.v, s.v_inv)) == diagonal_entries(m.cols, m.cols, (1,) * m.cols)
     assert all(d > 0 for d in s.invariants)
     for a, b in zip(s.invariants, s.invariants[1:]):
         assert b % a == 0
 
 
-def from_rows(rows) -> IntegerMatrix:
-    rows = tuple(tuple(row) for row in rows)
-    return IntegerMatrix(len(rows), len(rows[0]) if rows else 0, rows)
-
-
 def identity(n: int) -> IntegerMatrix:
-    return IntegerMatrix(n, n, diagonal_entries(n, n, (1,) * n))
+    return from_rows(diagonal_entries(n, n, (1,) * n))
 
 
 def snf_diagonal(s) -> IntegerMatrix:
     """The diagonal matrix that u * m * v must equal."""
     m = s.matrix
-    return IntegerMatrix(m.rows, m.cols, diagonal_entries(m.rows, m.cols, s.invariants))
+    return IntegerMatrix(m.rows, m.cols, tuple(
+        ((i, d),) for i, d in enumerate(s.invariants)) + ((),) * (m.rows - len(s.invariants)))
 
 
 @st.composite
@@ -78,7 +104,8 @@ def sparse_matrix(draw, rows, cols, values, zero_tenths=st.integers(0, 10)):
     first, so that examples range from all-zero to fully dense."""
     zero_tenths = draw(zero_tenths)
     return IntegerMatrix(rows, cols, tuple(
-        tuple(draw(values) if draw(st.integers(1, 10)) > zero_tenths else 0 for _ in range(cols))
+        tuple((j, x) for j in range(cols)
+              for x in [draw(values) if draw(st.integers(1, 10)) > zero_tenths else 0] if x)
         for _ in range(rows)))
 
 
@@ -111,7 +138,7 @@ def minor_gcd_invariants(m: IntegerMatrix) -> tuple[int, ...]:
             total += (-1) ** j * rows[0][j] * det(sub)
         return total
 
-    entries = [list(r) for r in m.entries]
+    entries = dense(m)
     prev = 1
     out = []
     for k in range(1, min(m.rows, m.cols) + 1):
@@ -158,9 +185,9 @@ def test_snf_examples():
 def test_snf_certificate(rows):
     m = from_rows(rows)
     s = smith_normal_form(m)
-    assert s.u.mul(m).mul(s.v).entries == snf_diagonal(s).entries
-    assert s.u.mul(s.u_inv).entries == identity(m.rows).entries
-    assert s.v.mul(s.v_inv).entries == identity(m.cols).entries
+    assert s.u.mul(m).mul(s.v) == snf_diagonal(s)
+    assert s.u.mul(s.u_inv) == identity(m.rows)
+    assert s.v.mul(s.v_inv) == identity(m.cols)
     for a, b in zip(s.invariants, s.invariants[1:]):
         assert b % a == 0
 
@@ -169,9 +196,9 @@ def test_snf_certificate(rows):
 def test_snf_invariant_under_permutation_and_transpose(rows):
     m = from_rows(rows)
     base = smith_normal_form(m).invariants
-    flipped = from_rows(list(reversed([list(reversed(r)) for r in m.entries])))
+    flipped = from_rows(list(reversed([list(reversed(r)) for r in dense(m)])))
     assert smith_normal_form(flipped).invariants == base
-    transposed = from_rows([list(col) for col in zip(*m.entries)])
+    transposed = from_rows([list(col) for col in zip(*dense(m))])
     assert smith_normal_form(transposed).invariants == base
 
 
@@ -179,7 +206,7 @@ def test_snf_large_entries_stay_exact():
     big = 10 ** 30
     m = from_rows([[big, big + 2], [2, 4]])
     s = smith_normal_form(m)
-    assert s.u.mul(m).mul(s.v).entries == snf_diagonal(s).entries
+    assert s.u.mul(m).mul(s.v) == snf_diagonal(s)
     assert minor_gcd_invariants(m) == s.invariants
 
 
@@ -210,6 +237,50 @@ def test_h1_rejects_non_complex():
     d2 = from_rows([[1], [0]])
     with pytest.raises(ValueError):
         h1_of_chain_complex(d2, d1)
+
+
+@pytest.mark.parametrize("d1_rows, d2_rows", [
+    ([[2, 0]], [[0], [1]]),                  # an entry other than +-1
+    ([[2, 0], [-2, 0]], [[0], [1]]),         # +-2 in place of +-1
+    ([[1, 0], [1, 0]], [[0], [1]]),          # two +1 in one column
+    ([[1, 0]], [[0], [1]]),                  # a column with one nonzero
+    ([[1, 0], [-1, 0], [1, 0]], [[0], [1]]),  # three nonzeros in one column
+])
+def test_h1_rejects_a_complex_whose_d1_is_not_an_incidence_matrix(d1_rows, d2_rows):
+    d1, d2 = from_rows(d1_rows), from_rows(d2_rows)
+    assert d1.mul(d2).is_zero()
+    with pytest.raises(ValueError, match="incidence"):
+        h1_of_chain_complex(d2, d1)
+
+
+def two_snf_h1(d2: IntegerMatrix, d1: IntegerMatrix) -> AbelianInvariants:
+    """Oracle: H1 = ker(d1)/im(d2) by one Smith normal form of d1, whose v
+    gives a basis of ker(d1), and one of im(d2) written in that basis."""
+    assert d1.cols == d2.rows and dense_mul(d1, d2) == IntegerMatrix.zero(d1.rows, d2.cols)
+    n = d1.cols
+    snf1 = smith_normal_form(d1)
+    r1 = snf1.rank
+    # columns r1..n-1 of v span ker(d1); rows r1.. of v_inv * d2 are im(d2) there
+    y = dense(dense_mul(snf1.v_inv, d2))
+    assert not any(any(row) for row in y[:r1])
+    snf_w = smith_normal_form(IntegerMatrix(n - r1, d2.cols, sparse(y[r1:])))
+    return AbelianInvariants((n - r1) - snf_w.rank, tuple(d for d in snf_w.invariants if d > 1))
+
+
+def test_h1_matches_two_snf_oracle_on_every_raw_manifold_gluing(raw_manifold_gluings):
+    """The quotient and block complexes of the 625 raw manifold gluings, and
+    the quotients of the double covers of the non-orientable ones."""
+    covers = 0
+    for g in raw_manifold_gluings:
+        spec = g.to_spec()
+        complexes = [quotient_chain_complex(build_quotient(spec)),
+                     assemble_triangulation(g).chain_complex()]
+        if not quotient_is_orientable(spec):
+            complexes.append(quotient_chain_complex(build_quotient(double_cover(spec))))
+            covers += 1
+        for d2, d1 in complexes:
+            assert h1_of_chain_complex(d2, d1) == two_snf_h1(d2, d1), g
+    assert (len(raw_manifold_gluings), covers) == (625, 255)
 
 
 def test_h1_mod_p_agrees_with_universal_coefficients():
@@ -251,7 +322,7 @@ def test_mul_matches_dense_product(operands):
     product = x.mul(y)
     expected = dense_mul(x, y)
     assert (product.rows, product.cols) == (expected.rows, expected.cols)
-    assert product.entries == expected.entries
+    assert dense(product) == dense(expected)
 
 
 @pytest.mark.parametrize("left, right", [((2, 3), (2, 3)), ((0, 1), (0, 1)), ((3, 0), (1, 3))])
@@ -269,7 +340,7 @@ def snf_inputs(draw):
 @given(snf_inputs())
 def test_snf_matches_sympy_invariant_factors(m):
     s = smith_normal_form(m)
-    expected = invariant_factors(Matrix([list(row) for row in m.entries]), domain=ZZ)
+    expected = invariant_factors(Matrix([list(row) for row in dense(m)]), domain=ZZ)
     assert s.invariants == tuple(abs(int(d)) for d in expected if d != 0)
     assert_certificate_by_dense_product(s)
 
@@ -285,14 +356,14 @@ def boundary_shaped(draw):
         for i in draw(st.lists(st.integers(0, rows - 1), max_size=3, unique=True)):
             column[i] = draw(st.sampled_from((-2, -1, 1, 2)))
         columns.append(column)
-    return IntegerMatrix(rows, cols, tuple(zip(*columns)))
+    return from_rows(zip(*columns))
 
 
 @settings(deadline=None, max_examples=150)
 @given(boundary_shaped())
 def test_snf_of_boundary_shaped_matrices_matches_sympy(m):
     s = smith_normal_form(m)
-    expected = invariant_factors(Matrix([list(row) for row in m.entries]), domain=ZZ)
+    expected = invariant_factors(Matrix([list(row) for row in dense(m)]), domain=ZZ)
     assert s.invariants == tuple(abs(int(d)) for d in expected if d != 0)
     assert_certificate_by_dense_product(s)
 
@@ -325,9 +396,9 @@ def k2xs1_cone_snf():
 def _with_entry_changed(m: IntegerMatrix, was_zero: bool) -> IntegerMatrix:
     """m with its last zero (or last nonzero) entry in row-major order
     increased by one."""
+    rows = [list(row) for row in dense(m)]
     i, j = next((i, j) for i in reversed(range(m.rows)) for j in reversed(range(m.cols))
-                if (m.entries[i][j] == 0) == was_zero)
-    rows = [list(row) for row in m.entries]
+                if (rows[i][j] == 0) == was_zero)
     rows[i][j] += 1
     return from_rows(rows)
 
@@ -337,7 +408,7 @@ def test_certificate_of_reference_cone_snf_is_sparse_and_passes(k2xs1_cone_snf):
     _verify_certificate(s)
     assert_certificate_by_dense_product(s)
     cells = s.u.rows ** 2 + s.v.rows ** 2
-    nonzero = sum(x != 0 for t in (s.u, s.v) for row in t.entries for x in row)
+    nonzero = sum(len(row) for t in (s.u, s.v) for row in t.terms)
     assert nonzero < cells // 2
 
 
@@ -356,15 +427,36 @@ def test_verify_certificate_rejects_wrong_invariants(k2xs1_cone_snf):
 
 
 @pytest.mark.parametrize("rows, cols, entries", [
-    (2, 2, ((1, 2),)),
-    (2, 2, ((1, 2), (3,))),
-    (1, 2, ((1, 2), (3, 4))),
+    (2, 2, ((1, 2),)),                      # wrong row count, dense rows
+    (2, 2, ((1, 2), (3,))),                 # dense rows: items are not pairs
+    (1, 2, ((1, 2), (3, 4))),               # wrong row count
     (2, 0, ((),)),
     (0, 3, ((),)),
+    (2, 2, ((1, 2), (3, 4))),               # dense rows of the right count
+    (2, 2, (((0, 1),), ((2, 1),))),         # column out of range
+    (1, 2, (((-1, 1),),)),
+    (1, 2, (((0, 1), (1, 0)),)),            # a stored zero
+    (1, 3, (((2, 1), (0, 1)),)),            # unsorted columns
+    (1, 3, (((1, 1), (1, 2)),)),            # a repeated column
+    (1, 2, (((0, 1, 2),),)),                # a triple
+    (1, 2, ([(0, 1)],)),                    # a row that is not a tuple
+    (1, 2, (((0.0, 1),),)),                 # a column that is not an int
+    (1, 2, (((0, 1.5),),)),                 # a value that is not an int
 ])
 def test_malformed_integer_matrix_is_rejected(rows, cols, entries):
     with pytest.raises(ValueError):
         IntegerMatrix(rows, cols, entries)
+
+
+def test_equal_matrices_compare_and_hash_equal():
+    rows = [[0, 3, 0], [0, 0, 0], [-1, 0, 2]]
+    a, b = from_rows(rows), IntegerMatrix(3, 3, (((1, 3),), (), ((0, -1), (2, 2))))
+    assert a == b and hash(a) == hash(b)
+    assert IntegerMatrix.from_columns(3, [{2: -1}, {0: 3, 1: 0}, {2: 2}]) == a
+    product = a.mul(identity(3))
+    assert product == a and hash(product) == hash(a)
+    assert from_rows([[0, 3, 0], [0, 0, 0], [-1, 0, 1]]) != a
+    assert IntegerMatrix.zero(2, 3) != IntegerMatrix.zero(2, 2)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 6, 9])

@@ -120,7 +120,8 @@ def test_vertex_surfaces_are_admissible_extreme_rays():
             assert g == 1
             rows = [tuple(eq) for eq in equations]
             rows += [tuple(int(j == i) for j in range(len(v))) for i, x in enumerate(v) if x == 0]
-            m = IntegerMatrix(len(rows), len(v), tuple(rows))
+            m = IntegerMatrix(len(rows), len(v), tuple(
+                tuple((j, x) for j, x in enumerate(row) if x) for row in rows))
             assert smith_normal_form(m).rank == len(v) - 1
 
 

@@ -10,7 +10,7 @@ from cubecensus.algebra import h1_of_chain_complex
 from cubecensus.blocks import assemble_triangulation
 from cubecensus.cube_complex import cone_subdivide, is_closed_manifold, parse_gluing_text
 from cubecensus.enumeration import enumerate_raw
-from cubecensus.triangulation import Triangulation, perm_inverse, perm_sign
+from cubecensus.triangulation import Triangulation, class_roots, perm_inverse, perm_sign
 
 T3 = "+x -x r0 / +y -y r0 / +z -z r0"
 K2XS1 = "+x -x r1m / +y -y r0 / +z -z r0"
@@ -204,3 +204,77 @@ def test_dump_golden_t3_assembly():
     assert len(dump.splitlines()) == 12  # 6 tets, 24 face slots, 12 pairings
     assert dump == assemble_triangulation(parse_gluing_text(T3)).dump()
     assert "boundary" not in dump
+
+
+class UnionFind:
+    """Reference union-find: a find that compresses fully, and a union that
+    links the larger root under the smaller, so roots are class minima."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if ra > rb:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+    def roots(self) -> list[int]:
+        return [self.find(x) for x in range(len(self.parent))]
+
+
+@st.composite
+def pair_lists(draw):
+    """A size up to 64 and pairs over it, with self-pairs and repeats."""
+    size = draw(st.integers(0, 64))
+    if size == 0:
+        return 0, []
+    element = st.integers(0, size - 1)
+    pairs = draw(st.lists(st.tuples(element, element), max_size=3 * size))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+    self_pairs = [(x, x) for x in draw(st.lists(element, max_size=4))]
+    return size, pairs + repeats + self_pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_lists())
+def test_class_roots_match_reference_union_find(case):
+    size, pairs = case
+    uf = UnionFind(size)
+    for a, b in pairs:
+        uf.union(a, b)
+    roots = class_roots(size, pairs)
+    assert roots == uf.roots()
+    classes: dict[int, list[int]] = {}
+    for x, r in enumerate(roots):
+        classes.setdefault(r, []).append(x)
+    assert all(min(members) == r for r, members in classes.items())
+
+
+def test_cone_orbits_match_reference_fed_from_both_sides():
+    """Triangulation unions each glued face pair once; the reference unions
+    every face gluing from both of its tetrahedra."""
+    for g in itertools.islice(enumerate_raw(False), 0, None, 20):
+        tri = cone_subdivide(g.to_spec())
+        vertices, edges = UnionFind(4 * tri.tet_count), UnionFind(16 * tri.tet_count)
+        for t, faces in enumerate(tri.gluings):
+            for f, ((t2, _), p) in enumerate(faces):
+                for a in range(4):
+                    if a == f:
+                        continue
+                    vertices.union(4 * t + a, 4 * t2 + p[a])
+                    for b in range(4):
+                        if b != a and b != f:
+                            edges.union((4 * t + a) * 4 + b, (4 * t2 + p[a]) * 4 + p[b])
+        assert tri._vertex_roots == vertices.roots(), g
+        assert tri._edge_roots == edges.roots(), g
