@@ -45,16 +45,6 @@ def _terms(rows: list[dict[int, int]]) -> tuple[Row, ...]:
     return tuple(tuple(sorted(row.items())) for row in rows)
 
 
-def _transposed_terms(rows: list[dict[int, int]], n: int) -> tuple[Row, ...]:
-    """The transpose of dict rows with n columns, as sparse rows.  Rows are
-    visited in order, so each column comes out sorted."""
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            out[j].append((i, x))
-    return tuple(map(tuple, out))
-
-
 def _is_diagonal(m: "IntegerMatrix", diag) -> bool:
     """Exact test that m has diag in its leading diagonal positions and zeros
     everywhere else, without building that matrix."""
@@ -316,8 +306,8 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
         matrix=m,
         invariants=invariants,
         u=IntegerMatrix(rows, rows, _terms(u)),
-        v=IntegerMatrix(cols, cols, _transposed_terms(v_t, cols)),
-        u_inv=IntegerMatrix(rows, rows, _transposed_terms(uinv_t, rows)),
+        v=IntegerMatrix.from_columns(cols, v_t),
+        u_inv=IntegerMatrix.from_columns(rows, uinv_t),
         v_inv=IntegerMatrix(cols, cols, _terms(vinv)),
     )
     _verify_certificate(result)
