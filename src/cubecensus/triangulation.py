@@ -173,14 +173,13 @@ class Triangulation:
             for a, b in _TET_EDGES:
                 root = min(roots[16 * t + 4 * a + b], roots[16 * t + 4 * b + a])
                 groups.setdefault(root, []).append((t, a, b))
-        edge_labels = self.edge_labels
         orbits = []
         for idx, root in enumerate(sorted(groups)):
             members = tuple(groups[root])  # appended in increasing order
             t0, a0, b0 = members[0]
             rev = roots[16 * t0 + 4 * a0 + b0] == roots[16 * t0 + 4 * b0 + a0]
-            labels = {edge_labels.get((t, frozenset((a, b))), "other")
-                      for (t, a, b) in members} if edge_labels else {"other"}
+            labels = {self.edge_labels.get((t, frozenset((a, b))), "other")
+                      for (t, a, b) in members}
             if len(labels) != 1:
                 raise AssertionError(f"edge orbit mixes provenance labels: {labels}")
             orbits.append(EdgeOrbit(
