@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import AbelianInvariants, h1_of_chain_complex, mod_p_dimension
@@ -267,24 +265,15 @@ class CensusReport:
     summary: CensusSummary
 
 
-def _classify_worker(canon: CanonicalGluing) -> ClassReport:
-    """`classify` for one census class; a failure names the class."""
-    try:
-        return classify(canon.gluing, canon)
-    except Exception as exc:
-        raise RuntimeError(f"classifying {canon.class_id}: {exc}") from exc
-
-
-def run_census(opposite_only: bool = False, jobs: int = 1) -> CensusReport:
-    """Classify every canonical class, in class-id order, with at most
-    `jobs` worker processes and never more than the CPU count."""
-    classes = enumerate_canonical(opposite_only)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_classify_worker, classes, chunksize=8))
-    else:
-        rows = [_classify_worker(c) for c in classes]
+def run_census(opposite_only: bool = False) -> CensusReport:
+    """Classify every canonical class, in class-id order; a failure names
+    the class."""
+    rows = []
+    for canon in enumerate_canonical(opposite_only):
+        try:
+            rows.append(classify(canon.gluing, canon))
+        except Exception as exc:
+            raise RuntimeError(f"classifying {canon.class_id}: {exc}") from exc
     rows.sort(key=lambda r: r.class_id)
     return CensusReport(opposite_only, tuple(rows), _summarise(rows))
 

@@ -38,12 +38,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _job_count(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a whole number N >= 1, got {text!r}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cubecensus",
                      description="census of closed 3-manifolds glued from one cube")
@@ -52,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--opposite-only": dict(action="store_true",
                                 help="restrict to gluings pairing opposite faces"),
-        "--jobs": dict(type=_job_count, default=1, metavar="N",
-                       help="parallel classification workers (N >= 1, capped at the CPU count)"),
         "--format": dict(choices=("text", "records"), default="text",
                          help="human-readable text or one JSON record per line"),
         "--input": dict(metavar="PATH", required=True,
@@ -63,9 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text, flags in (
         ("enumerate", "list canonical gluing classes", ("--opposite-only", "--format")),
         ("classify", "classify one gluing from a file", ("--format", "--input")),
-        ("census", "classify every canonical class", ("--opposite-only", "--jobs", "--format")),
-        ("verify", "run the full census and verify the classification",
-         ("--opposite-only", "--jobs")),
+        ("census", "classify every canonical class", ("--opposite-only", "--format")),
+        ("verify", "run the full census and verify the classification", ("--opposite-only",)),
         ("blocks-selftest", "check block valence tables", ()),
     ):
         command = sub.add_parser(name, help=help_text)
@@ -109,7 +100,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    report = run_census(args.opposite_only, jobs=args.jobs)
+    report = run_census(args.opposite_only)
     renderer = render_records if args.format == "records" else render_text
     sys.stdout.write(renderer(report))
     return 0
@@ -119,7 +110,7 @@ def _cmd_verify(args) -> int:
     if args.opposite_only:
         print("verify needs the full census; drop --opposite-only", file=sys.stderr)
         return 1
-    report = run_census(False, jobs=args.jobs)
+    report = run_census(False)
     result = verify_theorem(report)
     sys.stdout.write(render_verification(result))
     return 0 if result.passed else 2

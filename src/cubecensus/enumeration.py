@@ -200,8 +200,8 @@ def orbit_of(g: CubeGluing) -> tuple[CubeGluing, ...]:
 
 
 def canonical_form(g: CubeGluing) -> CanonicalGluing:
-    orbit = orbit_of(g)
-    return CanonicalGluing(gluing=orbit[0], orbit_size=len(orbit))
+    codes = _orbit_codes(_encode(g))
+    return CanonicalGluing(gluing=_decode(min(codes)), orbit_size=len(codes))
 
 
 def enumerate_canonical(opposite_only: bool = False) -> list[CanonicalGluing]:

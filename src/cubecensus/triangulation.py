@@ -111,9 +111,6 @@ class Triangulation:
     def gluings(self):
         return self._gluings
 
-    def gluing(self, tet: int, face: int):
-        return self._gluings[tet][face]
-
     @property
     def is_closed(self) -> bool:
         return all(g is not None for faces in self._gluings for g in faces)
@@ -326,20 +323,3 @@ class Triangulation:
             d2_cols.append(col)
         return (IntegerMatrix.from_columns(len(d1_cols), d2_cols),
                 IntegerMatrix.from_columns(self.vertex_orbit_count, d1_cols))
-
-    # -- reporting --------------------------------------------------------
-
-    def dump(self) -> str:
-        """One line per face pairing: `t:f -> t':f' [perm]`."""
-        lines = []
-        for t in range(self.tet_count):
-            for f in range(4):
-                entry = self._gluings[t][f]
-                if entry is None:
-                    lines.append(f"{t}:{f} -> boundary")
-                    continue
-                (t2, f2), p = entry
-                if (t2, f2) < (t, f):
-                    continue
-                lines.append(f"{t}:{f} -> {t2}:{f2} [{''.join(map(str, p))}]")
-        return "\n".join(lines)

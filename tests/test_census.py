@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import os
 import re
 
 import pytest
@@ -129,7 +128,7 @@ def test_classify_tests_and_selects_once(counted_calls):
 
 def test_census_tests_and_selects_each_class_once(counted_calls):
     tests, selections = counted_calls
-    report = run_census(True, jobs=1)
+    report = run_census(True)
     assert len(tests) == len(selections) == report.summary.total_classes == 56
     assert set(tests.values()) == set(selections.values()) == {1}
 
@@ -157,7 +156,7 @@ def test_census_lifts_one_cover_per_nonorientable_class(monkeypatch):
     for module in (cube_complex, census):
         monkeypatch.setattr(module, "double_cover", lift)
         monkeypatch.setattr(module, "build_quotient", build)
-    report = run_census(True, jobs=1)
+    report = run_census(True)
     nonorientable = [r for r in report.rows if r.manifold and not r.orientable]
     assert nonorientable
     assert len(lifts) == len(cover_quotients) == len(nonorientable)
@@ -302,14 +301,8 @@ def test_opposite_only_census_runs():
     assert report.opposite_only
 
 
-def test_census_with_workers_matches_sequential():
-    seq = run_census(opposite_only=True, jobs=1)
-    par = run_census(opposite_only=True, jobs=2)
-    assert render_records(seq) == render_records(par)
-
-
 def test_classify_from_class_text_matches_census_rows(full_census):
-    # the census hands each worker its canonical class; classifying the
+    # the census hands `classify` its canonical class; classifying the
     # class text alone recomputes the class and must give the same row
     for row in full_census.rows:
         assert classify(parse_gluing_text(row.class_id)) == row, row.class_id
@@ -337,15 +330,6 @@ def test_text_and_verification_bytes_are_pinned(full_census):
         "text": "6b27ac00f3b493369b140584f3a72b69230da558ce2f2aa4da5ef89084a93a21",
         "verify": "e9d340930116a2814a3c63f98819ac1f5afe1edc73503617bc0bb9446ab5adf4",
     }
-
-
-def test_run_census_caps_jobs_at_cpu_count(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started on a one-CPU machine")
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(census, "ProcessPoolExecutor", no_pool)
-    assert run_census(opposite_only=True, jobs=64).summary.total_classes == 56
 
 
 def test_mod_p_dimensions_agree_with_field_coefficients(manifold_rows):
@@ -380,13 +364,9 @@ def test_a_failing_class_is_named(monkeypatch):
         raise ValueError("boom")
 
     monkeypatch.setattr(census, "classify", broken)
-    canon = canonical_form(parse_gluing_text(T3))
-    with pytest.raises(RuntimeError, match=re.escape(f"classifying {canon.class_id}: boom")) as info:
-        census._classify_worker(canon)
-    assert isinstance(info.value.__cause__, ValueError)
     first = census.enumerate_canonical(True)[0]
     with pytest.raises(RuntimeError, match=re.escape(f"classifying {first.class_id}: boom")) as info:
-        run_census(True, jobs=1)
+        run_census(True)
     assert isinstance(info.value.__cause__, ValueError)
 
 

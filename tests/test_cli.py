@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -74,19 +75,11 @@ def test_classify_requires_input(capsys):
     assert excinfo.value.code == 1
 
 
-@pytest.mark.parametrize("jobs", ["0", "-5"])
-def test_census_rejects_jobs_below_one(capsys, jobs):
-    # parsing fails before any worker could start
-    with pytest.raises(SystemExit) as excinfo:
-        main(["census", "--opposite-only", "--jobs", jobs])
-    assert excinfo.value.code == 1
-    err = capsys.readouterr().err
-    assert f"argument --jobs: expected a whole number N >= 1, got '{jobs}'" in err
-
-
 @pytest.mark.parametrize("argv", [
     ["classify", "--input", "unread.txt", "--jobs", "2"],
     ["enumerate", "--jobs", "2"],
+    ["census", "--jobs", "2"],
+    ["verify", "--jobs", "2"],
     ["verify", "--format", "records"],
 ])
 def test_options_a_command_ignores_are_rejected(capsys, argv):
@@ -142,6 +135,20 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "[PASS]" in proc.stdout
+
+
+def test_cli_import_starts_no_process_machinery():
+    # the census runs in one process, so start-up need not load a pool
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cubecensus.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [m for m in proc.stdout.split()
+              if m.split(".")[0] in ("multiprocessing", "concurrent")]
+    assert loaded == []
 
 
 @pytest.mark.parametrize("command", ["enumerate", "classify", "census", "verify",

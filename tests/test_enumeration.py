@@ -16,6 +16,7 @@ from cubecensus.census import compute_fingerprint
 from cubecensus.cube_complex import CHARTS, FACES, CubeGluing, is_closed_manifold, parse_gluing_text
 from cubecensus.enumeration import (
     ALL_CUBE_SYMMETRIES,
+    CanonicalGluing,
     _encode,
     _pair_tables,
     canonical_form,
@@ -70,6 +71,12 @@ def test_canonical_form_is_idempotent():
         again = canonical_form(c.gluing)
         assert again.gluing.serialize() == c.gluing.serialize()
         assert again.orbit_size == c.orbit_size
+
+
+def test_canonical_form_is_the_least_gluing_of_its_orbit():
+    for g in enumerate_raw(False):
+        orbit = orbit_of(g)
+        assert canonical_form(g) == CanonicalGluing(orbit[0], len(orbit)), g.serialize()
 
 
 def test_t3_and_rotations_share_a_canonical_form():

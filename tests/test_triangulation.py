@@ -191,19 +191,11 @@ def test_has_valence_on_blocks():
     assert flipped is not None
 
 
-def test_dump_format():
-    tri = doubled_tetrahedron()
-    lines = tri.dump().splitlines()
-    assert lines[0] == "0:0 -> 1:0 [0123]"
-    assert len(lines) == 4
-
-
 def test_dump_golden_t3_assembly():
     tri = assemble_triangulation(parse_gluing_text(T3))
-    dump = tri.dump()
-    assert len(dump.splitlines()) == 12  # 6 tets, 24 face slots, 12 pairings
-    assert dump == assemble_triangulation(parse_gluing_text(T3)).dump()
-    assert "boundary" not in dump
+    assert tri.gluings == assemble_triangulation(parse_gluing_text(T3)).gluings
+    assert all(entry is not None for faces in tri.gluings for entry in faces)
+    assert len(tri.face_pairs) == 12  # 6 tets, 24 face slots, 12 pairings
 
 
 class UnionFind:
