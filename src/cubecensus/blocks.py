@@ -38,6 +38,7 @@ from .cube_complex import (
     CubeGluing,
     Face,
     GluingPair,
+    gluing_index_map,
     is_closed_manifold,
 )
 from .enumeration import ALL_CUBE_SYMMETRIES, CubeSymmetry
@@ -178,9 +179,13 @@ class MismatchReport:
 
 
 def pair_matches_pattern(pair: GluingPair, pattern: DiagonalPattern) -> bool:
-    imap = pair.index_map()
-    image = frozenset(imap[i] for i in pattern.diagonal_of(pair.face_a))
-    return image == pattern.diagonal_of(pair.face_b)
+    """Whether the pair carries the pattern's diagonal of face_a onto its
+    diagonal of face_b.  A chart diagonal is one parity class of positions,
+    {0, 2} or {1, 3}, and the dihedral map i -> r ± i adds the parity of r,
+    its image of 0, to every position's parity."""
+    shift = gluing_index_map(pair.sym)[0]
+    diagonals = pattern.diagonals
+    return (min(diagonals[pair.face_a.index]) + shift) % 2 == min(diagonals[pair.face_b.index])
 
 
 def mismatch_report(g: CubeGluing, pattern: DiagonalPattern) -> MismatchReport:

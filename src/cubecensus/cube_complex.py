@@ -135,11 +135,16 @@ ALL_SQUARE_SYMMETRIES = tuple(SquareSymmetry(r, m) for m in (False, True) for r 
 REVERSAL = SquareSymmetry(0, True)  # the base chart matching i -> -i (mod 4)
 
 
+_INDEX_MAPS = tuple(tuple(s.apply(REVERSAL.apply(i)) for i in range(4))
+                    for s in ALL_SQUARE_SYMMETRIES)
+
+
 def gluing_index_map(sym: SquareSymmetry) -> tuple[int, int, int, int]:
     """Chart position map of the gluing: position i of faceA's chart goes to
     this value in faceB's chart (the symmetry composed with the base
-    reversal)."""
-    return tuple(sym.apply(REVERSAL.apply(i)) for i in range(4))
+    reversal).  Read from the table of all eight, which lists them in the
+    order of ALL_SQUARE_SYMMETRIES."""
+    return _INDEX_MAPS[4 * sym.reflected + sym.rotation]
 
 
 @dataclass(frozen=True)
@@ -298,22 +303,29 @@ class QuotientComplex:
                 + self.square_count - self.cube_count)
 
 
+def _cell_roots(spec: CubulationSpec) -> tuple[list[int], list[int]]:
+    """Classes of the corners, keyed 8 * cube + corner, and of the directed
+    cube edges, keyed 64 * cube + 8 * u + v, under the gluing maps; each key
+    is given the smallest key of its class, as `class_roots` does."""
+    v_pairs, e_pairs = [], []
+    for ca, cb, pair in spec.pairs:
+        chart = CHARTS[pair.face_a]
+        chart_b = CHARTS[pair.face_b]
+        image = [chart_b[j] for j in gluing_index_map(pair.sym)]  # chart[i] -> image[i]
+        for i in range(4):
+            u, v, u2, v2 = chart[i - 1], chart[i], image[i - 1], image[i]
+            v_pairs.append((8 * ca + u, 8 * cb + u2))
+            e_pairs.append((64 * ca + 8 * u + v, 64 * cb + 8 * u2 + v2))
+            e_pairs.append((64 * ca + 8 * v + u, 64 * cb + 8 * v2 + u2))
+    nc = spec.cube_count
+    return class_roots(8 * nc, v_pairs), class_roots(64 * nc, e_pairs)
+
+
 def build_quotient(spec: CubulationSpec) -> QuotientComplex:
     """Finest cell partition closed under all gluing maps; orbit numbering
     follows the smallest contained cell id so output is reproducible."""
     nc = spec.cube_count
-    v_pairs, e_pairs = [], []  # directed edges keyed by 64 * cube + 8 * u + v
-    for ca, cb, pair in spec.pairs:
-        cmap = pair.corner_map()
-        chart = CHARTS[pair.face_a]
-        for i in range(4):
-            u, v = chart[i], chart[(i + 1) % 4]
-            u2, v2 = cmap[u], cmap[v]
-            v_pairs.append((8 * ca + u, 8 * cb + u2))
-            e_pairs.append((64 * ca + 8 * u + v, 64 * cb + 8 * u2 + v2))
-            e_pairs.append((64 * ca + 8 * v + u, 64 * cb + 8 * v2 + u2))
-    v_root = class_roots(8 * nc, v_pairs)
-    e_root = class_roots(64 * nc, e_pairs)
+    v_root, e_root = _cell_roots(spec)
 
     v_roots = sorted(set(v_root))
     v_renum = {r: i for i, r in enumerate(v_roots)}
@@ -479,8 +491,9 @@ def subdivision_vertex_label(tet: int, slot: int):
 
 @dataclass(frozen=True)
 class ManifoldCheck:
-    """Verdict of `is_closed_manifold`, with the quotient it decided on so
-    that callers read homology from it instead of building it again."""
+    """Verdict of `is_closed_manifold`.  When the check passes it carries
+    the quotient, so that callers read homology from it instead of building
+    it again; a failed check carries none."""
 
     ok: bool
     diagnostic: str
@@ -514,54 +527,71 @@ def is_closed_manifold(spec: CubulationSpec) -> ManifoldCheck:
     Square and cube centres always do, so only two kinds of point can fail:
     the midpoint of an edge orbit reversed onto itself (link RP^2, Euler
     characteristic 1) and a corner orbit whose link has Euler characteristic
-    other than 2.  The corner link has one triangle per (cube, corner) in
-    the orbit and one vertex per class of directed cube edges leaving it, so
-    its Euler characteristic is vertices minus half the triangles.  Every
-    link is connected, since an orbit is one class of the gluing relation.
+    other than 2.  The test reads the class roots of corners and directed
+    cube edges: an edge orbit is reversed when both directions of one cube
+    edge share a root.  The corner link has one triangle per (cube, corner)
+    in the orbit and one vertex per directed-edge root leaving it, so its
+    Euler characteristic is vertices minus half the triangles.  Every link
+    is connected, since an orbit is one class of the gluing relation.  Only
+    a passing check builds the quotient, with `build_quotient`, and carries
+    it.
 
     The diagnostic names the failing point as the vertex orbit of the cone
     subdivision would: orbits numbered by their first (tet, slot) there,
     the lowest-numbered failure reported.  The cone subdivision itself is
     the independent oracle for this test.
     """
-    q = build_quotient(spec)
-    # vertex classes of the cone subdivision, keyed by 4 * tet + slot of
-    # their first (tet, slot); slots 0..3 hold corner, midpoint, square
-    # centre and cube centre
-    corner_key = [4 * 48 * spec.cube_count] * q.vertex_orbit_count
-    triangles = [0] * q.vertex_orbit_count
-    for (cube, corner), o in q.vertex_orbit_of.items():
-        corner_key[o] = min(corner_key[o], 4 * (48 * cube + _CORNER_FIRST_TET[corner]))
-        triangles[o] += 1
-    reversed_orbits = set(q.reversed_edge_orbits)
-    midpoint_key = [4 * 48 * spec.cube_count] * q.edge_orbit_count
-    directions: list[set[int]] = [set() for _ in range(q.vertex_orbit_count)]
-    for (cube, u, v), (e, sign) in q.edge_orbit_of.items():
-        if u < v:
-            midpoint_key[e] = min(midpoint_key[e],
-                                  4 * (48 * cube + _EDGE_FIRST_TET[(u, v)]) + 1)
-        # a reversed edge orbit is one class of directed edges, any other two
-        direction = 2 * e if e in reversed_orbits else 2 * e + (sign > 0)
-        directions[q.vertex_orbit_of[(cube, u)]].add(direction)
+    nc = spec.cube_count
+    v_root, e_root = _cell_roots(spec)
+    # one entry per corner class, keyed by its root: its (cube, corner)
+    # count, the directed-edge roots leaving it, and its diagnostic key.  A
+    # key is 4 * tet + slot of the orbit's first (tet, slot) in the cone
+    # subdivision; slots 0..3 hold corner, midpoint, square and cube centre
+    triangles: dict[int, int] = {}
+    leaving: dict[int, set[int]] = {}
+    corner_key: dict[int, int] = {}
+    for cube in range(nc):
+        for corner, tet in _CORNER_FIRST_TET.items():
+            root, key = v_root[8 * cube + corner], 4 * (48 * cube + tet)
+            if root not in triangles:
+                triangles[root], leaving[root], corner_key[root] = 1, set(), key
+                continue
+            triangles[root] += 1
+            if key < corner_key[root]:
+                corner_key[root] = key
+    # one entry per edge orbit, keyed by the smaller root of its two
+    # directions; an orbit is reversed when they share a root
+    midpoint_key: dict[int, int] = {}
+    reversed_orbits = []
+    for cube in range(nc):
+        for (u, v), tet in _EDGE_FIRST_TET.items():
+            fwd, bwd = e_root[64 * cube + 8 * u + v], e_root[64 * cube + 8 * v + u]
+            leaving[v_root[8 * cube + u]].add(fwd)
+            leaving[v_root[8 * cube + v]].add(bwd)
+            orbit = fwd if fwd < bwd else bwd
+            key = 4 * (48 * cube + tet) + 1
+            if orbit not in midpoint_key:
+                midpoint_key[orbit] = key
+                if fwd == bwd:
+                    reversed_orbits.append(orbit)
+            elif key < midpoint_key[orbit]:
+                midpoint_key[orbit] = key
 
-    failures = [(key, 1) for e, key in enumerate(midpoint_key) if e in reversed_orbits]
-    for o, key in enumerate(corner_key):
-        euler = len(directions[o]) - triangles[o] // 2
+    failures = [(midpoint_key[e], 1) for e in reversed_orbits]
+    for root, count in triangles.items():
+        euler = len(leaving[root]) - count // 2
         if euler != 2:
-            failures.append((key, euler))
+            failures.append((corner_key[root], euler))
     if not failures:
-        return ManifoldCheck(True, "all vertex links are 2-spheres", q)
+        return ManifoldCheck(True, "all vertex links are 2-spheres", build_quotient(spec))
     key, euler = min(failures)
     square_keys = [4 * min(48 * ca + 8 * p.face_a.index, 48 * cb + 8 * p.face_b.index) + 2
                    for ca, cb, p in spec.pairs]
-    cube_keys = [4 * 48 * c + 3 for c in range(spec.cube_count)]
-    orbit = sum(k < key for k in corner_key + midpoint_key + square_keys + cube_keys)
+    cube_keys = [4 * 48 * c + 3 for c in range(nc)]
+    orbit = sum(k < key for keys in (corner_key.values(), midpoint_key.values(),
+                                     square_keys, cube_keys) for k in keys)
     label = subdivision_vertex_label(*divmod(key, 4))
-    return ManifoldCheck(
-        False,
-        f"vertex orbit {orbit} {label}: link euler={euler}, connected=True",
-        q,
-    )
+    return ManifoldCheck(False, f"vertex orbit {orbit} {label}: link euler={euler}, connected=True")
 
 
 # -- orientability and the orientation double cover ---------------------------

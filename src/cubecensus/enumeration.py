@@ -102,14 +102,13 @@ _OPPOSITE_MATCHING = tuple(
 
 
 def enumerate_raw(opposite_only: bool = False) -> Iterator[CubeGluing]:
-    """Every valid one-cube gluing exactly once, in a fixed order."""
-    matchings = _OPPOSITE_MATCHING if opposite_only else _FACE_MATCHINGS
-    for matching in matchings:
-        for syms in itertools.product(ALL_SQUARE_SYMMETRIES, repeat=3):
-            yield CubeGluing(tuple(
-                GluingPair(FACES[a], FACES[b], sym)
-                for (a, b), sym in zip(matching, syms)
-            ))
+    """Every valid one-cube gluing exactly once, in a fixed order.  The
+    gluings share their pairs: the eight of each face pair are made once."""
+    pairs = {(a, b): [GluingPair(FACES[a], FACES[b], sym) for sym in ALL_SQUARE_SYMMETRIES]
+             for a, b in itertools.combinations(range(6), 2)}
+    for matching in _OPPOSITE_MATCHING if opposite_only else _FACE_MATCHINGS:
+        for triple in itertools.product(*(pairs[a, b] for a, b in matching)):
+            yield CubeGluing(triple)
 
 
 def conjugate_gluing(g: CubeGluing, cs: CubeSymmetry) -> CubeGluing:

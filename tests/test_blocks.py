@@ -8,9 +8,11 @@ from cubecensus.algebra import h1_of_chain_complex
 from cubecensus.blocks import (
     FIVE_TET_PATTERN,
     BlockKind,
+    DiagonalPattern,
     assemble_triangulation,
     block_valences,
     mismatch_report,
+    pair_matches_pattern,
     reference_pattern,
     select_block,
 )
@@ -83,6 +85,18 @@ def test_t3_mismatch_count_is_three():
         diag_a = FIVE_TET_PATTERN.corner_diagonal(pair.face_a)
         image = {cmap[c] for c in diag_a}
         assert image != set(FIVE_TET_PATTERN.corner_diagonal(pair.face_b))
+
+
+def test_pair_matches_pattern_is_the_image_of_the_face_a_diagonal():
+    pairs = {p for g in enumerate_raw(False) for p in g.pairs}
+    patterns = [DiagonalPattern(d) for d in itertools.product(
+        (frozenset((0, 2)), frozenset((1, 3))), repeat=6)]
+    assert (len(pairs), len(patterns)) == (120, 64)
+    for pair in pairs | {p.swapped() for p in pairs}:
+        imap = pair.index_map()
+        for pattern in patterns:
+            image = frozenset(imap[i] for i in pattern.diagonal_of(pair.face_a))
+            assert pair_matches_pattern(pair, pattern) == (image == pattern.diagonal_of(pair.face_b))
 
 
 def test_flipping_one_face_flips_exactly_one_pair_flag():

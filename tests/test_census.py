@@ -136,8 +136,8 @@ def test_census_tests_and_selects_each_class_once(counted_calls):
 def test_census_lifts_one_cover_per_nonorientable_class(monkeypatch):
     """Each non-orientable class lifts its double cover once, and builds
     the cover's quotient once, for both H1 and the Euler characteristic.
-    Each class builds its own quotient once, for both the manifold test
-    and H1."""
+    Each manifold class builds its own quotient once, for both the manifold
+    test and H1, and a non-manifold class builds none."""
     from cubecensus import cube_complex
 
     reference_table()  # cached; its own quotients and covers are not counted
@@ -162,7 +162,10 @@ def test_census_lifts_one_cover_per_nonorientable_class(monkeypatch):
     assert len(lifts) == len(cover_quotients) == len(nonorientable)
     assert set(lifts.values()) == set(cover_quotients.values()) == {1}
     assert all(r.double_cover_orientable and r.double_cover_euler == 0 for r in nonorientable)
-    assert len(class_quotients) == report.summary.total_classes == 56
+    manifolds = {parse_gluing_text(r.class_id).to_spec() for r in report.rows if r.manifold}
+    assert len(manifolds) == report.summary.manifold_classes == 18
+    assert report.summary.nonmanifold_classes == 38
+    assert set(class_quotients) == manifolds
     assert set(class_quotients.values()) == {1}
 
 

@@ -23,11 +23,14 @@ from cubecensus.cube_complex import (
     Face,
     GluingPair,
     GluingSpecError,
+    REVERSAL,
     ManifoldCheck,
     SquareSymmetry,
     build_quotient,
     cone_subdivide,
     corner_id,
+    double_cover,
+    gluing_index_map,
     is_closed_manifold,
     orientation_double_cover,
     parse_gluing_text,
@@ -402,6 +405,13 @@ def cone_check(spec):
 RAW_GLUINGS = list(enumerate_raw(False))
 
 
+def test_gluing_index_map_is_the_symmetry_after_the_reversal():
+    maps = {s: gluing_index_map(s) for s in ALL_SQUARE_SYMMETRIES}
+    for s, imap in maps.items():
+        assert imap == tuple(s.apply(REVERSAL.apply(i)) for i in range(4))
+    assert len(set(maps.values())) == 8
+
+
 def test_manifold_test_agrees_with_the_cone_on_every_raw_gluing():
     manifolds = 0
     for g in RAW_GLUINGS:
@@ -424,19 +434,40 @@ def test_manifold_test_agrees_with_the_cone_on_every_double_cover():
     assert covers == 255
 
 
-def test_manifold_test_agrees_with_the_cone_on_two_cube_lifts():
+def _two_cube_lifts():
     # every sheet pattern (w_1, w_2, w_3) of a two-sheeted lift, most of
     # them non-manifolds, so failures on cube 1 are diagnosed too
-    lifts = failures = 0
     for g in RAW_GLUINGS[::61]:
         for pattern in itertools.product((0, 1), repeat=3):
-            spec = CubulationSpec(2, tuple(
+            yield g, pattern, CubulationSpec(2, tuple(
                 (s, s ^ w, p) for p, w in zip(g.pairs, pattern) for s in (0, 1)))
-            check = is_closed_manifold(spec)
-            assert check == cone_check(spec), (str(g), pattern)
-            lifts += 1
-            failures += not check.ok
+
+
+def test_manifold_test_agrees_with_the_cone_on_two_cube_lifts():
+    lifts = failures = 0
+    for g, pattern, spec in _two_cube_lifts():
+        check = is_closed_manifold(spec)
+        assert check == cone_check(spec), (str(g), pattern)
+        lifts += 1
+        failures += not check.ok
     assert (lifts, failures) == (1008, 915)
+
+
+def test_only_a_passing_check_carries_the_quotient():
+    raw = [g.to_spec() for g in RAW_GLUINGS]
+    covers = [double_cover(spec) for spec in raw
+              if is_closed_manifold(spec).ok and not quotient_is_orientable(spec)]
+    lifts = [spec for _, _, spec in _two_cube_lifts()]
+    assert (len(raw), len(covers), len(lifts)) == (7680, 255, 1008)
+    passed = 0
+    for spec in raw + covers + lifts:
+        check = is_closed_manifold(spec)
+        if check.ok:
+            assert check.quotient == build_quotient(spec)
+            passed += 1
+        else:
+            assert check.quotient is None
+    assert passed == 625 + 255 + 1008 - 915
 
 
 def _with_pairs_swapped(g, swaps):

@@ -9,13 +9,24 @@ maps and conjugation against the isometries' corner permutations alone.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubecensus.census import compute_fingerprint
-from cubecensus.cube_complex import CHARTS, FACES, CubeGluing, is_closed_manifold, parse_gluing_text
+from cubecensus.cube_complex import (
+    ALL_SQUARE_SYMMETRIES,
+    CHARTS,
+    FACES,
+    CubeGluing,
+    GluingPair,
+    is_closed_manifold,
+    parse_gluing_text,
+)
 from cubecensus.enumeration import (
     ALL_CUBE_SYMMETRIES,
+    _FACE_MATCHINGS,
+    _OPPOSITE_MATCHING,
     CanonicalGluing,
     _encode,
     _pair_tables,
@@ -63,6 +74,19 @@ def test_raw_gluings_are_valid_and_distinct():
         assert all(p.face_a < p.face_b for p in g.pairs)
         seen.add(g.serialize())
     assert len(seen) == 7680
+
+
+@pytest.mark.parametrize("opposite_only, matchings", [(False, _FACE_MATCHINGS),
+                                                      (True, _OPPOSITE_MATCHING)])
+def test_raw_gluings_keep_the_nested_order_and_share_their_pairs(opposite_only, matchings):
+    nested = [CubeGluing(tuple(GluingPair(FACES[a], FACES[b], sym)
+                               for (a, b), sym in zip(matching, syms)))
+              for matching in matchings
+              for syms in itertools.product(ALL_SQUARE_SYMMETRIES, repeat=3)]
+    raw = list(enumerate_raw(opposite_only))
+    assert raw == nested
+    assert len(set(raw)) == (512 if opposite_only else 7680)
+    assert len({id(p) for g in raw for p in g.pairs}) <= 120
 
 
 def test_canonical_form_is_idempotent():
