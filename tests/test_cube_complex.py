@@ -18,12 +18,12 @@ from cubecensus.cube_complex import (
     CHARTS,
     CORNER_COORDS,
     FACES,
+    REVERSAL,
     CubeGluing,
     CubulationSpec,
     Face,
     GluingPair,
     GluingSpecError,
-    REVERSAL,
     ManifoldCheck,
     SquareSymmetry,
     build_quotient,
