@@ -324,9 +324,13 @@ def _cell_roots(spec: CubulationSpec) -> tuple[list[int], list[int]]:
 def build_quotient(spec: CubulationSpec) -> QuotientComplex:
     """Finest cell partition closed under all gluing maps; orbit numbering
     follows the smallest contained cell id so output is reproducible."""
-    nc = spec.cube_count
-    v_root, e_root = _cell_roots(spec)
+    return _quotient_from_roots(spec, *_cell_roots(spec))
 
+
+def _quotient_from_roots(spec: CubulationSpec, v_root: list[int],
+                         e_root: list[int]) -> QuotientComplex:
+    """`build_quotient` on the class roots that `_cell_roots(spec)` returns."""
+    nc = spec.cube_count
     v_roots = sorted(set(v_root))
     v_renum = {r: i for i, r in enumerate(v_roots)}
     vertex_orbit_of = {(c, v): v_renum[v_root[8 * c + v]]
@@ -533,7 +537,7 @@ def is_closed_manifold(spec: CubulationSpec) -> ManifoldCheck:
     in the orbit and one vertex per directed-edge root leaving it, so its
     Euler characteristic is vertices minus half the triangles.  Every link
     is connected, since an orbit is one class of the gluing relation.  Only
-    a passing check builds the quotient, with `build_quotient`, and carries
+    a passing check builds the quotient, from the same roots, and carries
     it.
 
     The diagnostic names the failing point as the vertex orbit of the cone
@@ -583,7 +587,8 @@ def is_closed_manifold(spec: CubulationSpec) -> ManifoldCheck:
         if euler != 2:
             failures.append((corner_key[root], euler))
     if not failures:
-        return ManifoldCheck(True, "all vertex links are 2-spheres", build_quotient(spec))
+        return ManifoldCheck(True, "all vertex links are 2-spheres",
+                             _quotient_from_roots(spec, v_root, e_root))
     key, euler = min(failures)
     square_keys = [4 * min(48 * ca + 8 * p.face_a.index, 48 * cb + 8 * p.face_b.index) + 2
                    for ca, cb, p in spec.pairs]

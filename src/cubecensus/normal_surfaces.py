@@ -18,7 +18,11 @@ Burton's filtering of rays that break the quadrilateral constraints
 enumeration", Math. Comp. 2010).  Vertex surfaces are where essential
 spheres and two-sided projective planes show up (Jaco and Tollefson,
 "Algorithms for the complete decomposition of a closed 3-manifold",
-Illinois J. Math. 1995).
+Illinois J. Math. 1995).  Intermediate rays are sparse: a ray holds only
+its nonzero coordinates and its support as a bit set (on the block
+triangulations a ray has about 5 nonzero coordinates of up to 42), and the
+quadrilateral constraints are tested on the support bits of all
+tetrahedra at once.
 
 A certificate is a kind plus normal coordinates.  `check_certificate`
 rebuilds the surface from the coordinates and the triangulation alone and
@@ -114,6 +118,17 @@ def vertex_normal_surfaces(tri: Triangulation) -> list[tuple[int, ...]]:
     non-adjacency of such a pair has admissible support itself, so the
     combinatorial adjacency test over the kept rays stays exact.
 
+    A ray is `({index: nonzero value}, support bits)`.  An equation reads
+    its at most 4 terms from the rays whose support meets them; the others
+    satisfy it.  A combination `ns * p + ps * n` with `ns, ps > 0` has
+    exactly the union of the two supports, because no coordinate is
+    negative, so it is built over that union and divided by the gcd of
+    its values.  With `low` holding bit `7t + 4` of every tetrahedron t,
+    `u & low`, `(u >> 1) & low` and `(u >> 2) & low` hold the three
+    quadrilateral types of a support `u`, and two of them sharing a bit
+    breaks the quadrilateral constraints.  Dense tuples are built once, at
+    the end.
+
     The equations are cut in ascending lexicographic order of their
     coefficient rows.  That order takes face pairs roughly by decreasing
     lower tetrahedron, so each prefix of equations touches only the last
@@ -124,22 +139,18 @@ def vertex_normal_surfaces(tri: Triangulation) -> list[tuple[int, ...]]:
     order.  The final cone, and so the output, does not depend on it.
     """
     n = tri.tet_count
-    quad_masks = [0b111 << (7 * t + 4) for t in range(n)]
-
-    def admissible(support: int) -> bool:
-        for m in quad_masks:
-            q = support & m
-            if q & (q - 1):
-                return False
-        return True
-
-    dim = 7 * n
-    rays = [(tuple(int(i == j) for j in range(dim)), 1 << i) for i in range(dim)]
+    low = sum(1 << (7 * t + 4) for t in range(n))
+    rays = [({i: 1}, 1 << i) for i in range(7 * n)]
     for eq in sorted(matching_equations(tri)):
         terms = [(i, c) for i, c in enumerate(eq) if c]
+        touched = sum(1 << i for i, _ in terms)
         pos, neg, kept = [], [], []
         for ray in rays:
-            s = sum(c * ray[0][i] for i, c in terms)
+            if not ray[1] & touched:
+                kept.append(ray)
+                continue
+            get = ray[0].get
+            s = sum(c * get(i, 0) for i, c in terms)
             if s > 0:
                 pos.append((ray, s))
             elif s < 0:
@@ -150,17 +161,21 @@ def vertex_normal_surfaces(tri: Triangulation) -> list[tuple[int, ...]]:
         for (pvec, psup), ps in pos:
             for (nvec, nsup), ns in neg:
                 union = psup | nsup
-                if not admissible(union):
-                    continue
+                a, b, c = union & low, (union >> 1) & low, (union >> 2) & low
+                if (a & b) | (a & c) | (b & c):
+                    continue  # two quadrilateral types in one tetrahedron
                 if any(s | union == union and s != psup and s != nsup for s in supports):
                     continue
-                vec = [ns * a + ps * b for a, b in zip(pvec, nvec)]
-                g = 0
-                for x in vec:
-                    g = gcd(g, x)
-                kept.append((tuple(x // g for x in vec), union))
+                vec = {i: ns * x for i, x in pvec.items()}
+                for i, x in nvec.items():
+                    vec[i] = vec.get(i, 0) + ps * x
+                g = gcd(*vec.values())
+                if g > 1:
+                    vec = {i: x // g for i, x in vec.items()}
+                kept.append((vec, union))
         rays = kept
-    return sorted((vec for vec, _ in rays), key=lambda v: (sum(v), v))
+    surfaces = (tuple(vec.get(i, 0) for i in range(7 * n)) for vec, _ in rays)
+    return sorted(surfaces, key=lambda v: (sum(v), v))
 
 
 def normal_euler_characteristic(tri: Triangulation, coords) -> int:

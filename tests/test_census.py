@@ -142,20 +142,21 @@ def test_census_lifts_one_cover_per_nonorientable_class(monkeypatch):
 
     reference_table()  # cached; its own quotients and covers are not counted
     lifts, cover_quotients, class_quotients = {}, {}, {}
-    double_cover, build_quotient = cube_complex.double_cover, cube_complex.build_quotient
+    double_cover, from_roots = cube_complex.double_cover, cube_complex._quotient_from_roots
 
     def lift(spec):
         lifts[spec] = lifts.get(spec, 0) + 1
         return double_cover(spec)
 
-    def build(spec):
+    def build(spec, v_root, e_root):
         counts = cover_quotients if spec.cube_count == 2 else class_quotients
         counts[spec] = counts.get(spec, 0) + 1
-        return build_quotient(spec)
+        return from_roots(spec, v_root, e_root)
 
     for module in (cube_complex, census):
         monkeypatch.setattr(module, "double_cover", lift)
-        monkeypatch.setattr(module, "build_quotient", build)
+    # every quotient, from `build_quotient` or a passing manifold check
+    monkeypatch.setattr(cube_complex, "_quotient_from_roots", build)
     report = run_census(True)
     nonorientable = [r for r in report.rows if r.manifold and not r.orientable]
     assert nonorientable

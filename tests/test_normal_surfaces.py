@@ -112,6 +112,8 @@ def test_vertex_surfaces_are_admissible_extreme_rays():
         surfaces = vertex_normal_surfaces(tri)
         assert surfaces
         for v in surfaces:
+            assert type(v) is tuple and len(v) == 7 * tri.tet_count
+            assert all(type(x) is int for x in v) and any(v)
             assert all(x >= 0 for x in v) and admissible(tri, v)
             assert all(sum(a * b for a, b in zip(eq, v)) == 0 for eq in equations)
             g = 0
@@ -213,6 +215,7 @@ def test_certificates_cover_exactly_the_unidentified_classes(manifold_rows, p2_c
         cert = p2_certificates[row.class_id]
         assert (cert is None) == (row.reference is not None), row.class_id
         if cert is not None:
+            assert type(cert.coords) is tuple
             assert check_certificate(tri_of(row.class_id), cert)
             kinds.setdefault(cert.kind, []).append(row)
     spheres = kinds[CertificateKind.NON_SEPARATING_SPHERE]
