@@ -293,8 +293,8 @@ def _owning_tet(tets: list[tuple[int, ...]], triangle: frozenset[int]) -> tuple[
 def assemble_triangulation(g: CubeGluing) -> Triangulation:
     """Glue the selected block's boundary triangles according to g.
 
-    Requires a closed-manifold gluing; the result has 5 or 6 tetrahedra and
-    carries edge labels (internal / diagonal / other) for valence reports.
+    Requires a closed-manifold gluing; the result is a closed triangulation
+    with 5 or 6 tetrahedra.
     """
     check = is_closed_manifold(g.to_spec())
     if not check:
@@ -309,9 +309,6 @@ def glue_block(g: CubeGluing, choice: BlockChoice) -> Triangulation:
     cs = choice.symmetry
     tets = [tuple(sorted(cs.apply_corner(c) for c in tet))
             for tet in _BLOCK_TETS[choice.kind]]
-    internal = _BLOCK_INTERNAL_EDGE[choice.kind]
-    if internal is not None:
-        internal = frozenset(cs.apply_corner(c) for c in internal)
     pattern = choice.pattern
     n = len(tets)
     gl: list[list] = [[None] * 4 for _ in range(n)]
@@ -350,13 +347,4 @@ def glue_block(g: CubeGluing, choice: BlockChoice) -> Triangulation:
             t2, f2 = _owning_tet(tets, tri_b)
             glue(t1, f1, t2, f2, {c: cmap[c] for c in tri_a})
 
-    labels = {}
-    diagonals = {pattern.corner_diagonal(f) for f in FACES}
-    for t, tet in enumerate(tets):
-        for a, b in itertools.combinations(range(4), 2):
-            edge = frozenset((tet[a], tet[b]))
-            if internal is not None and edge == internal:
-                labels[(t, frozenset((a, b)))] = "internal"
-            elif edge in diagonals:
-                labels[(t, frozenset((a, b)))] = "diagonal"
-    return Triangulation(gl, edge_labels=labels)
+    return Triangulation(gl)

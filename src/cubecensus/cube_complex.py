@@ -398,6 +398,11 @@ def quotient_chain_complex(q: QuotientComplex):
 
 # -- cone subdivision --------------------------------------------------------
 
+def _cone_tet(cube: int, face: int, k: int, h: int) -> int:
+    """The cone tetrahedron of `cube` over half h of side k of face index `face`."""
+    return ((cube * 6 + face) * 4 + k) * 2 + h
+
+
 def cone_subdivide(spec: CubulationSpec) -> Triangulation:
     """Cone each cube from its centre over the fully subdivided boundary.
 
@@ -412,9 +417,6 @@ def cone_subdivide(spec: CubulationSpec) -> Triangulation:
     `is_closed_manifold` and of the cube-complex homology.
     """
     nc = spec.cube_count
-
-    def tet_index(cube: int, face: Face, k: int, h: int) -> int:
-        return ((cube * 6 + face.index) * 4 + k) * 2 + h
 
     def side_of(face: Face, corners: frozenset[int]) -> int:
         chart = CHARTS[face]
@@ -444,19 +446,19 @@ def cone_subdivide(spec: CubulationSpec) -> Triangulation:
         for face in FACES:
             for k in range(4):
                 # same side, two halves, shared triangle (midpoint, centre, cube centre)
-                glue_identity(tet_index(cube, face, k, 0), 0,
-                              tet_index(cube, face, k, 1), 0)
+                glue_identity(_cone_tet(cube, face.index, k, 0), 0,
+                              _cone_tet(cube, face.index, k, 1), 0)
                 # adjacent sides around the corner chart[k+1]
-                glue_identity(tet_index(cube, face, k, 1), 1,
-                              tet_index(cube, face, (k + 1) % 4, 0), 1)
+                glue_identity(_cone_tet(cube, face.index, k, 1), 1,
+                              _cone_tet(cube, face.index, (k + 1) % 4, 0), 1)
         # across each cube edge, matching corner halves
         for (u, v) in _CUBE_EDGES:
             (fa, ka), (fb, kb) = face_adjacent[(cube, frozenset((u, v)))]
             for corner in (u, v):
                 ha = 0 if CHARTS[fa][ka] == corner else 1
                 hb = 0 if CHARTS[fb][kb] == corner else 1
-                glue_identity(tet_index(cube, fa, ka, ha), 2,
-                              tet_index(cube, fb, kb, hb), 2)
+                glue_identity(_cone_tet(cube, fa.index, ka, ha), 2,
+                              _cone_tet(cube, fb.index, kb, hb), 2)
 
     for cube_a, cube_b, pair in spec.pairs:
         face_a, face_b = pair.face_a, pair.face_b
@@ -468,8 +470,8 @@ def cone_subdivide(spec: CubulationSpec) -> Triangulation:
             for h in (0, 1):
                 j = imap[(k + h) % 4]
                 hb = 0 if j == kb else 1
-                glue_identity(tet_index(cube_a, face_a, k, h), 3,
-                              tet_index(cube_b, face_b, kb, hb), 3)
+                glue_identity(_cone_tet(cube_a, face_a.index, k, h), 3,
+                              _cone_tet(cube_b, face_b.index, kb, hb), 3)
 
     return Triangulation(gl)
 
@@ -516,7 +518,7 @@ def _first_cone_tets() -> tuple[dict[int, int], dict[tuple[int, int], int]]:
         chart = CHARTS[face]
         for k in range(4):
             for h in (0, 1):
-                tet = (face.index * 4 + k) * 2 + h
+                tet = _cone_tet(0, face.index, k, h)
                 corner_first.setdefault(chart[(k + h) % 4], tet)
                 edge_first.setdefault(tuple(sorted((chart[k], chart[(k + 1) % 4]))), tet)
     return corner_first, edge_first
@@ -590,7 +592,8 @@ def is_closed_manifold(spec: CubulationSpec) -> ManifoldCheck:
         return ManifoldCheck(True, "all vertex links are 2-spheres",
                              _quotient_from_roots(spec, v_root, e_root))
     key, euler = min(failures)
-    square_keys = [4 * min(48 * ca + 8 * p.face_a.index, 48 * cb + 8 * p.face_b.index) + 2
+    square_keys = [4 * min(_cone_tet(ca, p.face_a.index, 0, 0),
+                           _cone_tet(cb, p.face_b.index, 0, 0)) + 2
                    for ca, cb, p in spec.pairs]
     cube_keys = [4 * 48 * c + 3 for c in range(nc)]
     orbit = sum(k < key for keys in (corner_key.values(), midpoint_key.values(),

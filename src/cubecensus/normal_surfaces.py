@@ -91,8 +91,6 @@ def _edge_weight(coords, t: int, a: int, b: int) -> int:
 def matching_equations(tri: Triangulation) -> list[tuple[int, ...]]:
     """One equation per glued face pair and corner: the normal arcs around
     corner v of face f equal those around p[v] on the other side."""
-    if not tri.is_closed:
-        raise ValueError("normal surfaces need a closed triangulation")
     equations = []
     for t, f, t2, f2, p in tri.face_pairs:
         for v in range(4):
@@ -206,7 +204,7 @@ def find_certificate(tri: Triangulation) -> Certificate | None:
 
 
 def _coordinate_problem(tri: Triangulation, coords) -> str | None:
-    if not tri.is_closed or tri.has_reversed_edge or not tri.all_links_are_spheres():
+    if tri.has_reversed_edge or not tri.all_links_are_spheres():
         return "the triangulation is not a closed 3-manifold triangulation"
     if len(coords) != 7 * tri.tet_count:
         return f"expected {7 * tri.tet_count} coordinates, got {len(coords)}"

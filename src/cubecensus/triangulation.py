@@ -6,7 +6,9 @@ face f of tetrahedron t with face f' of tetrahedron t' through a permutation
 p of {0,1,2,3} with p[f] = f'; each vertex slot v != f is matched with slot
 p[v].  The vertex bijection is stored explicitly, with no implicit
 orientation conventions.  Self-adjacencies and multiple adjacencies are
-allowed; unglued faces form boundary.
+allowed.  Every face must be glued, so a triangulation is closed: the block
+triangulations glue up the boundary of a cube block, and the cone
+subdivision cones cubes whose faces are all paired.
 """
 
 from __future__ import annotations
@@ -68,21 +70,19 @@ class EdgeOrbit:
     members: tuple[tuple[int, int, int], ...]  # (tet, a, b) with a < b
     valence: int
     reversed_on_itself: bool
-    label: str
 
 
 class Triangulation:
     """Immutable after construction; all derived data is cached."""
 
-    def __init__(self, gluings, edge_labels=None):
-        glu: list[list[Gluing | None]] = []
+    def __init__(self, gluings):
+        glu: list[list[Gluing]] = []
         for tet_faces in gluings:
             faces = list(tet_faces)
             if len(faces) != 4:
                 raise ValueError("each tetrahedron needs exactly 4 face entries")
             glu.append(faces)
-        self._gluings: tuple[tuple[Gluing | None, ...], ...] = tuple(tuple(f) for f in glu)
-        self.edge_labels = dict(edge_labels or {})
+        self._gluings: tuple[tuple[Gluing, ...], ...] = tuple(tuple(f) for f in glu)
         self._check()
 
     def _check(self) -> None:
@@ -91,7 +91,7 @@ class Triangulation:
             for f in range(4):
                 entry = self._gluings[t][f]
                 if entry is None:
-                    continue
+                    raise ValueError(f"face {t}:{f} is unglued")
                 (t2, f2), p = entry
                 if not (0 <= t2 < n and 0 <= f2 < 4):
                     raise ValueError(f"gluing target out of range at {t}:{f}")
@@ -113,16 +113,17 @@ class Triangulation:
 
     @property
     def is_closed(self) -> bool:
-        return all(g is not None for faces in self._gluings for g in faces)
+        """Always True: the constructor rejects a table with an unglued face."""
+        return True
 
     @cached_property
     def face_pairs(self) -> tuple[tuple[int, int, int, int, Perm4], ...]:
-        """Each glued face pair once, as (t, f, t2, f2, p) with
-        (t, f) < (t2, f2)."""
+        """Each face pair once, as (t, f, t2, f2, p) with (t, f) < (t2, f2),
+        in increasing order of (t, f).  These are also the triangle orbits."""
         pairs = []
         for t, faces in enumerate(self._gluings):
             for f, entry in enumerate(faces):
-                if entry is not None and (t, f) < entry[0]:
+                if (t, f) < entry[0]:
                     (t2, f2), p = entry
                     pairs.append((t, f, t2, f2, p))
         return tuple(pairs)
@@ -143,9 +144,9 @@ class Triangulation:
         return {(t, v): renum[roots[4 * t + v]]
                 for t in range(self.tet_count) for v in range(4)}
 
-    @property
+    @cached_property
     def vertex_orbit_count(self) -> int:
-        return len(set(self.vertex_orbit_index.values())) if self.tet_count else 0
+        return len(set(self._vertex_roots))
 
     # -- edges ------------------------------------------------------------
 
@@ -175,17 +176,12 @@ class Triangulation:
             members = tuple(groups[root])  # appended in increasing order
             t0, a0, b0 = members[0]
             rev = roots[16 * t0 + 4 * a0 + b0] == roots[16 * t0 + 4 * b0 + a0]
-            labels = {self.edge_labels.get((t, frozenset((a, b))), "other")
-                      for (t, a, b) in members}
-            if len(labels) != 1:
-                raise AssertionError(f"edge orbit mixes provenance labels: {labels}")
             orbits.append(EdgeOrbit(
                 index=idx,
                 representative=(t0, a0, b0),
                 members=members,
                 valence=len(members),
                 reversed_on_itself=rev,
-                label=labels.pop(),
             ))
         return tuple(orbits)
 
@@ -207,24 +203,9 @@ class Triangulation:
     def has_reversed_edge(self) -> bool:
         return any(o.reversed_on_itself for o in self.edge_orbits)
 
-    # -- triangles --------------------------------------------------------
-
-    @cached_property
-    def triangle_orbits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """One orbit per unglued face and per glued face pair, each listing
-        its faces in increasing order, the orbits in increasing order."""
-        orbits = []
-        for t, faces in enumerate(self._gluings):
-            for f, entry in enumerate(faces):
-                if entry is None:
-                    orbits.append(((t, f),))
-                elif (t, f) < entry[0]:
-                    orbits.append(((t, f), entry[0]))
-        return tuple(orbits)
-
     def euler_characteristic(self) -> int:
         return (self.vertex_orbit_count - len(self.edge_orbits)
-                + len(self.triangle_orbits) - self.tet_count)
+                + len(self.face_pairs) - self.tet_count)
 
     # -- vertex links -----------------------------------------------------
 
@@ -234,23 +215,19 @@ class Triangulation:
         assembled from one corner triangle per (tet, vertex) incidence with
         corner triangles glued side-to-side along the face pairings.  The
         link vertices are the `_edge_roots` classes of the directed edges
-        leaving the orbit.  The link is connected, since a vertex orbit is
-        one class of that same gluing relation."""
+        leaving the orbit.  Every side is glued to one other, so the link
+        has 3F/2 edges for F triangles and Euler characteristic V - F/2.
+        The link is connected, since a vertex orbit is one class of that
+        same gluing relation."""
         n_orbits = self.vertex_orbit_count
         faces = [0] * n_orbits
-        glued = [0] * n_orbits
         lv_roots: list[set[int]] = [set() for _ in range(n_orbits)]
         edge_roots = self._edge_roots
-        # the sides of corner (t, v) are the faces of t other than v
-        glued_faces = [4 - faces_t.count(None) for faces_t in self._gluings]
         for (t, v), o in self.vertex_orbit_index.items():
             c = 4 * t + v
             faces[o] += 1
-            glued[o] += glued_faces[t] - (self._gluings[t][v] is not None)
             lv_roots[o].update(edge_roots[c * 4 + w] for w in range(4) if w != v)
-        # each corner triangle has 3 sides; glued sides pair up into one edge
-        return [len(lv_roots[o]) - (glued[o] // 2 + 3 * faces[o] - glued[o]) + faces[o]
-                for o in range(n_orbits)]
+        return [len(lv_roots[o]) - faces[o] // 2 for o in range(n_orbits)]
 
     def link_euler(self, orbit: int) -> int:
         return self._link_euler[orbit]
@@ -273,8 +250,6 @@ class Triangulation:
         """Orientations of the tetrahedra exist making every face pairing
         orientation-reversing on the shared triangle (equivalently, every
         gluing permutation odd with respect to the chosen signs)."""
-        if not self.is_closed:
-            raise ValueError("orientability test needs a closed triangulation")
         if not self.all_links_are_spheres():
             raise ValueError("orientability test needs a closed manifold triangulation")
         sign: dict[int, int] = {}
@@ -313,8 +288,7 @@ class Triangulation:
             head, tail = vertex[(t, b)], vertex[(t, a)]
             d1_cols.append({head: 1, tail: -1} if head != tail else {})
         d2_cols = []
-        for tri in self.triangle_orbits:
-            t, f = tri[0]
+        for t, f, *_ in self.face_pairs:
             a, b, c = _FACE_VERTICES[f]
             col: dict[int, int] = {}
             for (x, y, s) in ((a, b, 1), (b, c, 1), (a, c, -1)):

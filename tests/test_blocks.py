@@ -6,11 +6,14 @@ import pytest
 
 from cubecensus.algebra import h1_of_chain_complex
 from cubecensus.blocks import (
+    _BLOCK_INTERNAL_EDGE,
+    _BLOCK_TETS,
     FIVE_TET_PATTERN,
     BlockKind,
     DiagonalPattern,
     assemble_triangulation,
     block_valences,
+    glue_block,
     mismatch_report,
     pair_matches_pattern,
     reference_pattern,
@@ -191,9 +194,22 @@ def test_block_h1_matches_cone_h1_on_samples():
     assert checked >= 5
 
 
-def test_assembled_edge_labels_are_homogeneous():
-    # label classes never merge: side edges glue to side edges, pattern
-    # diagonals to pattern diagonals, internal edges stay interior
-    tri = assemble_triangulation(parse_gluing_text(T3))
-    assert [o.valence for o in tri.edge_orbits if o.label == "internal"] == [4]
-    assert sum(o.valence for o in tri.edge_orbits) == 6 * tri.tet_count
+def test_assembled_internal_edge_keeps_its_block_valence(raw_manifold_gluings):
+    # the internal edge lies on no boundary triangle, so gluing the block
+    # up adds no tetrahedron to the star of that edge
+    checked = 0
+    for g in raw_manifold_gluings:
+        choice = select_block(g)
+        internal = _BLOCK_INTERNAL_EDGE[choice.kind]
+        if internal is None:
+            continue
+        cs = choice.symmetry
+        tets = [tuple(sorted(cs.apply_corner(c) for c in tet))
+                for tet in _BLOCK_TETS[choice.kind]]
+        u, v = (cs.apply_corner(c) for c in internal)
+        t = next(i for i, tet in enumerate(tets) if u in tet and v in tet)
+        a, b = sorted((tets[t].index(u), tets[t].index(v)))
+        (orbit,) = [o for o in glue_block(g, choice).edge_orbits if (t, a, b) in o.members]
+        assert orbit.valence == block_valences(choice.kind)[0], str(g)
+        checked += 1
+    assert checked

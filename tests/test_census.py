@@ -364,7 +364,7 @@ def test_double_cover_euler_agrees_with_cone_subdivision(manifold_rows):
 
 
 def test_a_failing_class_is_named(monkeypatch):
-    def broken(gluing, canon=None, references=None):
+    def broken(gluing, canon=None):
         raise ValueError("boom")
 
     monkeypatch.setattr(census, "classify", broken)
