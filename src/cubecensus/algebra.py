@@ -11,9 +11,11 @@ the matrix and its four transforms are dict rows {column: nonzero value},
 and the matrix also keeps, per column, the set of rows that are nonzero
 there, so every row and column operation touches only the nonzero entries
 it changes.  Skipping a zero term changes no result, so everything stays
-exact.  The reduction is classical row/column reduction with the
-smallest-pivot rule, and every Smith normal form carries unimodular
-transformation certificates that are re-verified by full exact
+exact.  The reduction is classical row/column reduction.  Its pivot is a
+unit (+-1) from the shortest row that holds one, in the column with the
+fewest entries, which keeps the fill-in low (Markowitz's rule); only when no
+unit is left does it take the smallest magnitude.  Every Smith normal form
+carries unimodular transformation certificates, which are checked by exact
 multiplication of the returned matrices before the result is returned.
 """
 
@@ -43,18 +45,6 @@ def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
 def _terms(rows: list[dict[int, int]]) -> tuple[Row, ...]:
     """Dict rows as sparse rows."""
     return tuple(tuple(sorted(row.items())) for row in rows)
-
-
-def _is_diagonal(m: "IntegerMatrix", diag) -> bool:
-    """Exact test that m has diag in its leading diagonal positions and zeros
-    everywhere else, without building that matrix."""
-    if len(diag) > min(m.rows, m.cols):
-        return False
-    for i, row in enumerate(m.terms):
-        d = diag[i] if i < len(diag) else 0
-        if row != (((i, d),) if d else ()):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -150,18 +140,30 @@ class SmithNormalForm:
         return sum(1 for d in self.invariants if d % p != 0)
 
 
-def _pivot(a, k, rows):
-    """(row, column) of the smallest nonzero magnitude in rows k.., the first
-    in row-major order among equals, or None.  Rows k.. hold no entry left
-    of column k."""
+def _pivot(a, in_col, k, rows):
+    """(row, column) of the next pivot in rows k.., or None if they are zero.
+    Rows k.. hold no entry left of column k.
+
+    A unit is taken from the shortest row that holds one, the lowest such
+    row among equals, in the column with the fewest entries, the lowest
+    among equals: the row operations then touch few rows and the column
+    operations few columns, so little fill-in arises.  Without a unit, the
+    smallest nonzero magnitude is taken, the first in row-major order."""
+    best = None
+    for i in range(k, rows):
+        row = a[i]
+        if row and (best is None or len(row) < len(a[best])) and any(
+                x == 1 or x == -1 for x in row.values()):
+            best = i
+    if best is not None:
+        units = [j for j, x in a[best].items() if x == 1 or x == -1]
+        return best, min(units, key=lambda j: (len(in_col[j]), j))
     best = 0
     for i in range(k, rows):
         for j, x in a[i].items():
             mag = x if x > 0 else -x
             if not best or mag < best or (mag == best and i == bi and j < bj):
                 best, bi, bj = mag, i, j
-        if best == 1:
-            break
     return (bi, bj) if best else None
 
 
@@ -181,10 +183,12 @@ def _offender(a, k, rows):
 def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     """Diagonalise m over Z by unimodular row and column operations.
 
-    Pivot rule: smallest nonzero magnitude in the remaining submatrix, ties
-    broken by position, so the computation is deterministic.  A stage that
-    leaves a nonzero remainder in the pivot's row or column, or an entry the
-    pivot does not divide, starts again from the pivot rule with a strictly
+    Pivot rule (`_pivot`): a unit that makes little fill-in, or, when no
+    unit is left, the smallest nonzero magnitude; ties are broken by
+    position, so the computation is deterministic.  A unit pivot divides
+    every entry, so its stage ends after one pass.  A stage that leaves a
+    nonzero remainder in the pivot's row or column, or an entry the pivot
+    does not divide, starts again from the pivot rule with a strictly
     smaller pivot, so every stage ends.
 
     Every matrix is held as dict rows {column: nonzero value}, and nonzeros
@@ -265,7 +269,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     k = 0
     limit = min(rows, cols)
     while k < limit:
-        found = _pivot(a, k, rows)
+        found = _pivot(a, in_col, k, rows)
         if found is None:
             break
         pi, pj = found
@@ -315,18 +319,25 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
 
 
 def _verify_certificate(s: SmithNormalForm) -> None:
-    m = s.matrix
-    if not _is_diagonal(s.u.mul(m.mul(s.v)), s.invariants):
-        raise AssertionError("SNF certificate failed: u*m*v != diagonal")
-    if not _is_diagonal(s.u.mul(s.u_inv), (1,) * m.rows):
-        raise AssertionError("SNF certificate failed: u not unimodular")
-    if not _is_diagonal(s.v.mul(s.v_inv), (1,) * m.cols):
-        raise AssertionError("SNF certificate failed: v not unimodular")
-    if any(d <= 0 for d in s.invariants):
+    """Exact check of u*m = D*v_inv, u*u_inv = I and v*v_inv = I, where D is
+    the diagonal of the invariant factors.  v is square, so v*v_inv = I
+    makes v_inv*v = I too, and the first equation is then u*m*v = D."""
+    m, diag = s.matrix, s.invariants
+    if len(diag) > min(m.rows, m.cols):
+        raise AssertionError("SNF has more invariant factors than min(rows, cols)")
+    if any(d <= 0 for d in diag):
         raise AssertionError("SNF invariant factors not positive")
-    for d1, d2 in zip(s.invariants, s.invariants[1:]):
+    for d1, d2 in zip(diag, diag[1:]):
         if d2 % d1 != 0:
             raise AssertionError("SNF invariant factors not a divisibility chain")
+    for i, row in enumerate(s.u.mul(m).terms):
+        expected = tuple((j, diag[i] * x) for j, x in s.v_inv.terms[i]) if i < len(diag) else ()
+        if row != expected:
+            raise AssertionError("SNF certificate failed: u*m != D*v_inv")
+    if s.u.mul(s.u_inv).terms != _terms(_eye(m.rows)):
+        raise AssertionError("SNF certificate failed: u not unimodular")
+    if s.v.mul(s.v_inv).terms != _terms(_eye(m.cols)):
+        raise AssertionError("SNF certificate failed: v not unimodular")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import pytest
 
 from cubecensus.algebra import AbelianInvariants, IntegerMatrix, smith_normal_form
 from cubecensus.blocks import BlockKind, block_valences, mismatch_report, select_block
-from cubecensus.blocks import FIVE_TET_PATTERN, assemble_triangulation
+from cubecensus.blocks import assemble_triangulation
 from cubecensus.census import (
     reference_table,
     render_records,

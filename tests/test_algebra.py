@@ -21,6 +21,7 @@ from sympy.matrices.normalforms import invariant_factors
 from cubecensus.algebra import (
     AbelianInvariants,
     IntegerMatrix,
+    SmithNormalForm,
     _verify_certificate,
     h1_of_chain_complex,
     h1_with_coefficients,
@@ -412,6 +413,13 @@ def test_certificate_of_reference_cone_snf_is_sparse_and_passes(k2xs1_cone_snf):
     assert nonzero < cells // 2
 
 
+def test_reference_cone_snf_transforms_stay_low_in_fill(k2xs1_cone_snf):
+    # unit pivots from short rows and columns: 1,302 nonzeros, where the
+    # first unit in row-major order left 2,206
+    s = k2xs1_cone_snf
+    assert sum(len(row) for t in (s.u, s.v, s.u_inv, s.v_inv) for row in t.terms) <= 1400
+
+
 @pytest.mark.parametrize("field", ["u", "v", "u_inv", "v_inv"])
 @pytest.mark.parametrize("was_zero", [True, False])
 def test_verify_certificate_rejects_a_changed_transform_entry(k2xs1_cone_snf, field, was_zero):
@@ -424,6 +432,25 @@ def test_verify_certificate_rejects_a_changed_transform_entry(k2xs1_cone_snf, fi
 def test_verify_certificate_rejects_wrong_invariants(k2xs1_cone_snf):
     with pytest.raises(AssertionError):
         _verify_certificate(dataclasses.replace(k2xs1_cone_snf, invariants=(2, 3)))
+
+
+def _forged_snf(m, invariants, u, v, u_inv, v_inv) -> SmithNormalForm:
+    return SmithNormalForm(from_rows(m), invariants, from_rows(u), from_rows(v),
+                           from_rows(u_inv), from_rows(v_inv))
+
+
+@pytest.mark.parametrize("forged", [
+    # more invariant factors than min(rows, cols)
+    _forged_snf([[1, 0]], (1, 1), [[1]], [[1, 0], [0, 1]], [[1]], [[1, 0], [0, 1]]),
+    # non-positive invariant factors
+    _forged_snf([[-1]], (-1,), [[1]], [[1]], [[1]], [[1]]),
+    _forged_snf([[0]], (0,), [[1]], [[1]], [[1]], [[1]]),
+    # u*m = D*v_inv holds, but v*v_inv != I, so u*m*v != D
+    _forged_snf([[2]], (2,), [[1]], [[2]], [[1]], [[1]]),
+], ids=["too-many-invariants", "negative-invariant", "zero-invariant", "v-not-unimodular"])
+def test_verify_certificate_rejects_forged_snfs(forged):
+    with pytest.raises(AssertionError):
+        _verify_certificate(forged)
 
 
 @pytest.mark.parametrize("rows, cols, entries", [
