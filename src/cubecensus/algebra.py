@@ -59,9 +59,11 @@ class IntegerMatrix:
     terms: tuple[Row, ...]
 
     def __post_init__(self):
-        if type(self.terms) is not tuple or len(self.terms) != self.rows:
-            raise ValueError(f"terms do not hold {self.rows} rows")
-        cols = self.cols
+        rows, cols = self.rows, self.cols
+        if type(rows) is not int or type(cols) is not int or min(rows, cols) < 0:
+            raise ValueError(f"shape {rows!r} x {cols!r} needs two non-negative ints")
+        if type(self.terms) is not tuple or len(self.terms) != rows:
+            raise ValueError(f"terms do not hold {rows} rows")
         for row in self.terms:
             if type(row) is not tuple:
                 raise ValueError("a row must be a tuple of (column, value) pairs")
@@ -85,10 +87,13 @@ class IntegerMatrix:
     @staticmethod
     def from_columns(rows: int, columns: list[dict[int, int]]) -> "IntegerMatrix":
         """The rows x len(columns) matrix whose column j holds the entries
-        {row: value} of columns[j]; zero values are dropped."""
+        {row: value} of columns[j]; zero values are dropped, and a row that
+        is not an int in range(rows) raises ValueError."""
         terms: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
         for j, column in enumerate(columns):
             for i, x in column.items():
+                if type(i) is not int or not 0 <= i < rows:
+                    raise ValueError(f"row {i!r} of column {j} is not in range({rows})")
                 if x:
                     terms[i].append((j, x))
         return IntegerMatrix(rows, len(columns), tuple(map(tuple, terms)))

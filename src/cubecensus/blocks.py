@@ -42,7 +42,7 @@ from .cube_complex import (
     is_closed_manifold,
 )
 from .enumeration import ALL_CUBE_SYMMETRIES, CubeSymmetry
-from .triangulation import Triangulation
+from .triangulation import Triangulation, perm_inverse
 
 
 class BlockKind(enum.Enum):
@@ -319,10 +319,7 @@ def glue_block(g: CubeGluing, choice: BlockChoice) -> Triangulation:
             p1[tets[t1].index(c_src)] = tets[t2].index(c_dst)
         p1[f1] = f2
         gl[t1][f1] = ((t2, f2), tuple(p1))
-        p2 = [None] * 4
-        for i, x in enumerate(p1):
-            p2[x] = i
-        gl[t2][f2] = ((t1, f1), tuple(p2))
+        gl[t2][f2] = ((t1, f1), perm_inverse(p1))
 
     # internal gluings: every corner triple shared by two tetrahedra
     for t1, t2 in itertools.combinations(range(n), 2):

@@ -162,16 +162,16 @@ class ClassReport:
     diagnostic: str
     mismatch_count: int
     block_kind: str
-    tet_count: int | None
-    valences: tuple[int, ...] | None
-    orientable: bool | None
-    h1: AbelianInvariants | None
-    h1_mod2: int | None
-    h1_mod3: int | None
-    double_cover_h1: AbelianInvariants | None
-    double_cover_orientable: bool | None
-    double_cover_euler: int | None
-    reference: str | None
+    tet_count: int | None = None
+    valences: tuple[int, ...] | None = None
+    orientable: bool | None = None
+    h1: AbelianInvariants | None = None
+    h1_mod2: int | None = None
+    h1_mod3: int | None = None
+    double_cover_h1: AbelianInvariants | None = None
+    double_cover_orientable: bool | None = None
+    double_cover_euler: int | None = None
+    reference: str | None = None
 
     def record(self) -> dict:
         return {
@@ -211,19 +211,9 @@ def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None) -> ClassR
         canon = canonical_form(gluing)
     choice = select_block(gluing)
     check = is_closed_manifold(gluing.to_spec())
-    base = dict(
-        class_id=canon.class_id,
-        orbit_size=canon.orbit_size,
-        manifold=check.ok,
-        diagnostic=check.diagnostic,
-        mismatch_count=choice.mismatch_count,
-        block_kind=choice.kind.value,
-        tet_count=None, valences=None, orientable=None, h1=None,
-        h1_mod2=None, h1_mod3=None, double_cover_h1=None,
-        double_cover_orientable=None, double_cover_euler=None, reference=None,
-    )
     if not check.ok:
-        return ClassReport(**base)
+        return ClassReport(canon.class_id, canon.orbit_size, False, check.diagnostic,
+                           choice.mismatch_count, choice.kind.value)
     tri = glue_block(gluing, choice)
     fp, cover = _fingerprint(check.quotient)
     matches = [e.name for e in reference_table() if e.expected_fingerprint == fp]
@@ -231,7 +221,9 @@ def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None) -> ClassR
     if cover is not None:
         cover_orient = quotient_is_orientable(cover.spec)
         cover_euler = cover.euler_characteristic()
-    base.update(
+    return ClassReport(
+        canon.class_id, canon.orbit_size, True, check.diagnostic,
+        choice.mismatch_count, choice.kind.value,
         tet_count=tri.tet_count,
         valences=tuple(sorted(o.valence for o in tri.edge_orbits)),
         orientable=fp.orientable,
@@ -243,7 +235,6 @@ def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None) -> ClassR
         double_cover_euler=cover_euler,
         reference=matches[0] if matches else None,
     )
-    return ClassReport(**base)
 
 
 @dataclass(frozen=True)

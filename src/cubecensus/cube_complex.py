@@ -284,12 +284,15 @@ _CUBE_EDGES = tuple(sorted(
 @dataclass(frozen=True)
 class QuotientComplex:
     """Orbits of the cube cells under the transitive closure of the gluing
-    maps, with enough incidence data to build the cellular chain complex."""
+    maps: the class roots of corners and directed cube edges that
+    `_cell_roots` gives, and the first cube edge (cube, u, v), u < v, of
+    each edge orbit, whose direction is the orbit's positive one."""
 
     spec: CubulationSpec
-    vertex_orbit_of: dict[tuple[int, int], int]           # (cube, corner) -> orbit
+    vertex_root: list[int]  # 8 * cube + corner -> smallest key of its class
+    edge_root: list[int]    # 64 * cube + 8 * u + v -> smallest key of its class
+    edge_representatives: tuple[tuple[int, int, int], ...]
     vertex_orbit_count: int
-    edge_orbit_of: dict[tuple[int, int, int], tuple[int, int]]  # (cube, u, v) -> (orbit, sign)
     edge_orbit_count: int
     reversed_edge_orbits: tuple[int, ...]
     square_count: int
@@ -329,58 +332,39 @@ def build_quotient(spec: CubulationSpec) -> QuotientComplex:
 
 def _quotient_from_roots(spec: CubulationSpec, v_root: list[int],
                          e_root: list[int]) -> QuotientComplex:
-    """`build_quotient` on the class roots that `_cell_roots(spec)` returns."""
-    nc = spec.cube_count
-    v_roots = sorted(set(v_root))
-    v_renum = {r: i for i, r in enumerate(v_roots)}
-    vertex_orbit_of = {(c, v): v_renum[v_root[8 * c + v]]
-                       for c in range(nc) for v in range(8)}
-
-    groups: dict[int, list[tuple[int, int, int]]] = {}
-    for c in range(nc):
-        for (u, v) in _CUBE_EDGES:
-            root = min(e_root[64 * c + 8 * u + v], e_root[64 * c + 8 * v + u])
-            groups.setdefault(root, []).append((c, u, v))
-    edge_orbit_of: dict[tuple[int, int, int], tuple[int, int]] = {}
-    reversed_orbits = []
-    for idx, root in enumerate(sorted(groups)):
-        members = sorted(groups[root])
-        c0, u0, v0 = members[0]
-        fwd = e_root[64 * c0 + 8 * u0 + v0]
-        if fwd == e_root[64 * c0 + 8 * v0 + u0]:
-            reversed_orbits.append(idx)
-        for (c, u, v) in members:
-            sign = 1 if e_root[64 * c + 8 * u + v] == fwd else -1
-            edge_orbit_of[(c, u, v)] = (idx, sign)
-            edge_orbit_of[(c, v, u)] = (idx, -sign)
-
+    """`build_quotient` on the class roots that `_cell_roots(spec)` returns.
+    An edge orbit's first cube edge holds its smallest directed key."""
+    reps = tuple((c, u, v) for c in range(spec.cube_count) for (u, v) in _CUBE_EDGES
+                 if min(e_root[64 * c + 8 * u + v], e_root[64 * c + 8 * v + u])
+                 == 64 * c + 8 * u + v)
     return QuotientComplex(
         spec=spec,
-        vertex_orbit_of=vertex_orbit_of,
-        vertex_orbit_count=len(v_roots),
-        edge_orbit_of=edge_orbit_of,
-        edge_orbit_count=len(groups),
-        reversed_edge_orbits=tuple(reversed_orbits),
-        square_count=3 * nc,
+        vertex_root=v_root,
+        edge_root=e_root,
+        edge_representatives=reps,
+        vertex_orbit_count=sum(r == k for k, r in enumerate(v_root)),
+        edge_orbit_count=len(reps),
+        reversed_edge_orbits=tuple(
+            idx for idx, (c, u, v) in enumerate(reps)
+            if e_root[64 * c + 8 * u + v] == e_root[64 * c + 8 * v + u]),
+        square_count=3 * spec.cube_count,
     )
 
 
 def quotient_chain_complex(q: QuotientComplex):
     """(d2, d1) of the quotient cell structure.  Square boundaries are read
-    off from the chart walk of face_a's side of each entry."""
+    off from the chart walk of face_a's side of each entry.  A directed edge's
+    root names its orbit, and its sign is +1 if it is the representative's."""
     if q.reversed_edge_orbits:
         raise ValueError("chain complex undefined: edge orbit reversed onto itself")
-    n_v, n_e = q.vertex_orbit_count, q.edge_orbit_count
-    # representative of each orbit: smallest (cube, u, v) with sign +1
-    rep: dict[int, tuple[int, int, int]] = {}
-    for key in sorted(q.edge_orbit_of):
-        idx, sign = q.edge_orbit_of[key]
-        if sign == 1 and idx not in rep:
-            rep[idx] = key
+    v_root, e_root = q.vertex_root, q.edge_root
+    vertex = {r: i for i, r in enumerate(sorted(set(v_root)))}
+    edge: dict[int, tuple[int, int]] = {}  # direction root -> (orbit, sign)
     d1_cols = []
-    for idx in range(n_e):
-        c, u, v = rep[idx]
-        head, tail = q.vertex_orbit_of[(c, v)], q.vertex_orbit_of[(c, u)]
+    for idx, (c, u, v) in enumerate(q.edge_representatives):
+        edge[e_root[64 * c + 8 * u + v]] = (idx, 1)
+        edge[e_root[64 * c + 8 * v + u]] = (idx, -1)
+        head, tail = vertex[v_root[8 * c + v]], vertex[v_root[8 * c + u]]
         d1_cols.append({head: 1, tail: -1} if head != tail else {})
 
     pairs = sorted(q.spec.pairs, key=lambda e: (e[0], e[2].face_a.index))
@@ -390,10 +374,11 @@ def quotient_chain_complex(q: QuotientComplex):
         col: dict[int, int] = {}
         for i in range(4):
             u, v = chart[i], chart[(i + 1) % 4]
-            idx, sign = q.edge_orbit_of[(cube_a, u, v)]
+            idx, sign = edge[e_root[64 * cube_a + 8 * u + v]]
             col[idx] = col.get(idx, 0) + sign
         d2_cols.append(col)
-    return IntegerMatrix.from_columns(n_e, d2_cols), IntegerMatrix.from_columns(n_v, d1_cols)
+    return (IntegerMatrix.from_columns(q.edge_orbit_count, d2_cols),
+            IntegerMatrix.from_columns(len(vertex), d1_cols))
 
 
 # -- cone subdivision --------------------------------------------------------

@@ -65,7 +65,8 @@ def class_roots(size: int, pairs) -> list[int]:
 
 @dataclass(frozen=True)
 class EdgeOrbit:
-    index: int
+    """An edge orbit, with the orbit's positive direction on its representative."""
+
     representative: tuple[int, int, int]  # (tet, from_slot, to_slot)
     members: tuple[tuple[int, int, int], ...]  # (tet, a, b) with a < b
     valence: int
@@ -172,32 +173,17 @@ class Triangulation:
                 root = min(roots[16 * t + 4 * a + b], roots[16 * t + 4 * b + a])
                 groups.setdefault(root, []).append((t, a, b))
         orbits = []
-        for idx, root in enumerate(sorted(groups)):
+        for root in sorted(groups):
             members = tuple(groups[root])  # appended in increasing order
             t0, a0, b0 = members[0]
             rev = roots[16 * t0 + 4 * a0 + b0] == roots[16 * t0 + 4 * b0 + a0]
             orbits.append(EdgeOrbit(
-                index=idx,
                 representative=(t0, a0, b0),
                 members=members,
                 valence=len(members),
                 reversed_on_itself=rev,
             ))
         return tuple(orbits)
-
-    @cached_property
-    def _edge_orbit_lookup(self) -> list[tuple[int, int] | None]:
-        """Directed edge key -> (orbit index, sign relative to the
-        representative)."""
-        roots = self._edge_roots
-        out: list[tuple[int, int] | None] = [None] * (16 * self.tet_count)
-        for orbit in self.edge_orbits:
-            t0, a0, b0 = orbit.representative
-            fwd = roots[16 * t0 + 4 * a0 + b0]
-            for (t, a, b) in orbit.members:
-                for key in (16 * t + 4 * a + b, 16 * t + 4 * b + a):
-                    out[key] = (orbit.index, 1 if roots[key] == fwd else -1)
-        return out
 
     @cached_property
     def has_reversed_edge(self) -> bool:
@@ -277,14 +263,17 @@ class Triangulation:
         """(d2, d1) of the cellular chain complex of the quotient cell
         structure (tetrahedra / triangle orbits / edge orbits / vertex
         orbits).  Requires no edge orbit to be identified with itself in
-        reverse, otherwise the quotient cells are not honest cells."""
+        reverse, otherwise the quotient cells are not honest cells.  A directed
+        edge's `_edge_roots` root names its orbit and its sign (+1 on the representative's)."""
         if self.has_reversed_edge:
             raise ValueError("chain complex undefined: an edge orbit is reversed onto itself")
-        lookup = self._edge_orbit_lookup
-        vertex = self.vertex_orbit_index
+        roots, vertex = self._edge_roots, self.vertex_orbit_index
+        edge: dict[int, tuple[int, int]] = {}  # direction root -> (orbit, sign)
         d1_cols = []
-        for orbit in self.edge_orbits:
+        for idx, orbit in enumerate(self.edge_orbits):
             t, a, b = orbit.representative
+            edge[roots[16 * t + 4 * a + b]] = (idx, 1)
+            edge[roots[16 * t + 4 * b + a]] = (idx, -1)
             head, tail = vertex[(t, b)], vertex[(t, a)]
             d1_cols.append({head: 1, tail: -1} if head != tail else {})
         d2_cols = []
@@ -292,7 +281,7 @@ class Triangulation:
             a, b, c = _FACE_VERTICES[f]
             col: dict[int, int] = {}
             for (x, y, s) in ((a, b, 1), (b, c, 1), (a, c, -1)):
-                idx, sign = lookup[16 * t + 4 * x + y]
+                idx, sign = edge[roots[16 * t + 4 * x + y]]
                 col[idx] = col.get(idx, 0) + s * sign
             d2_cols.append(col)
         return (IntegerMatrix.from_columns(len(d1_cols), d2_cols),

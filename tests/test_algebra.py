@@ -469,10 +469,18 @@ def test_verify_certificate_rejects_forged_snfs(forged):
     (1, 2, ([(0, 1)],)),                    # a row that is not a tuple
     (1, 2, (((0.0, 1),),)),                 # a column that is not an int
     (1, 2, (((0, 1.5),),)),                 # a value that is not an int
+    (2, -1, ((), ())),                      # a negative column count
+    (True, 1, ((),)),                       # a row count that is not an int
 ])
 def test_malformed_integer_matrix_is_rejected(rows, cols, entries):
     with pytest.raises(ValueError):
         IntegerMatrix(rows, cols, entries)
+
+
+@pytest.mark.parametrize("column", [{-1: 1}, {True: 1}, {2: 1}, {5: 1}, {0.0: 1}, {1: 0, -1: 0}])
+def test_from_columns_rejects_a_row_outside_the_matrix(column):
+    with pytest.raises(ValueError):
+        IntegerMatrix.from_columns(2, [{0: 1}, column])
 
 
 def test_equal_matrices_compare_and_hash_equal():

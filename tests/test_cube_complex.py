@@ -550,3 +550,18 @@ def test_quotient_h1_matches_subdivision_h1_on_samples():
         h1_cells = h1_of_chain_complex(*quotient_chain_complex(q))
         h1_cone = h1_of_chain_complex(*cone_subdivide(spec).chain_complex())
         assert h1_cells == h1_cone
+
+
+def test_quotient_h1_matches_subdivision_h1_on_every_double_cover():
+    """The covers are two-cube complexes, so the edge signs of their
+    quotients are read across cubes."""
+    covers = 0
+    for g in RAW_GLUINGS:
+        spec = g.to_spec()
+        if not is_closed_manifold(spec).ok or quotient_is_orientable(spec):
+            continue
+        cover = double_cover(spec)
+        h1_cells = h1_of_chain_complex(*quotient_chain_complex(build_quotient(cover)))
+        assert h1_cells == h1_of_chain_complex(*cone_subdivide(cover).chain_complex()), str(g)
+        covers += 1
+    assert covers == 255
