@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .cube_complex import (
@@ -279,17 +278,6 @@ def select_block(g: CubeGluing) -> BlockChoice:
 # -- assembling the triangulation ---------------------------------------------
 
 
-def _owning_tet(tets: list[tuple[int, ...]], triangle: frozenset[int]) -> tuple[int, int]:
-    """(tet index, face slot) of the unique tetrahedron carrying a boundary
-    triangle given by its corner set."""
-    owners = [i for i, tet in enumerate(tets) if triangle <= set(tet)]
-    if len(owners) != 1:
-        raise AssertionError(f"boundary triangle {set(triangle)} owned by {owners}")
-    t = owners[0]
-    (slot,) = [s for s in range(4) if tets[t][s] not in triangle]
-    return t, slot
-
-
 def assemble_triangulation(g: CubeGluing) -> Triangulation:
     """Glue the selected block's boundary triangles according to g.
 
@@ -310,8 +298,7 @@ def glue_block(g: CubeGluing, choice: BlockChoice) -> Triangulation:
     tets = [tuple(sorted(cs.apply_corner(c) for c in tet))
             for tet in _BLOCK_TETS[choice.kind]]
     pattern = choice.pattern
-    n = len(tets)
-    gl: list[list] = [[None] * 4 for _ in range(n)]
+    gl: list[list] = [[None] * 4 for _ in tets]
 
     def glue(t1, f1, t2, f2, corner_map):
         p1 = [None] * 4
@@ -321,13 +308,16 @@ def glue_block(g: CubeGluing, choice: BlockChoice) -> Triangulation:
         gl[t1][f1] = ((t2, f2), tuple(p1))
         gl[t2][f2] = ((t1, f1), perm_inverse(p1))
 
-    # internal gluings: every corner triple shared by two tetrahedra
-    for t1, t2 in itertools.combinations(range(n), 2):
-        shared = set(tets[t1]) & set(tets[t2])
-        if len(shared) == 3:
-            f1 = tets[t1].index((set(tets[t1]) - shared).pop())
-            f2 = tets[t2].index((set(tets[t2]) - shared).pop())
-            glue(t1, f1, t2, f2, {c: c for c in shared})
+    # the (tet, slot) pairs holding each corner triple: a triple held twice
+    # is an internal gluing, one held once a boundary triangle
+    owners: dict[frozenset[int], list[tuple[int, int]]] = {}
+    for t, tet in enumerate(tets):
+        for slot, corner in enumerate(tet):
+            owners.setdefault(frozenset(tet) - {corner}, []).append((t, slot))
+    for triangle, held in owners.items():
+        if len(held) == 2:
+            (t1, f1), (t2, f2) = held
+            glue(t1, f1, t2, f2, {c: c for c in triangle})
 
     # boundary gluings: two triangles per face pair, matched diagonals
     for pair in g.pairs:
@@ -340,8 +330,10 @@ def glue_block(g: CubeGluing, choice: BlockChoice) -> Triangulation:
         for u in off_a:
             tri_a = frozenset(diag_a | {u})
             tri_b = frozenset(cmap[c] for c in tri_a)
-            t1, f1 = _owning_tet(tets, tri_a)
-            t2, f2 = _owning_tet(tets, tri_b)
+            held = [owners.get(tri, []) for tri in (tri_a, tri_b)]
+            if list(map(len, held)) != [1, 1]:
+                raise AssertionError(f"boundary triangles {set(tri_a)}, {set(tri_b)} owned by {held}")
+            (t1, f1), (t2, f2) = held[0] + held[1]
             glue(t1, f1, t2, f2, {c: cmap[c] for c in tri_a})
 
     return Triangulation(gl)

@@ -462,7 +462,7 @@ def cone_subdivide(spec: CubulationSpec) -> Triangulation:
 
 
 def subdivision_vertex_label(tet: int, slot: int):
-    """Human-readable label of a subdivision vertex slot."""
+    """Human-readable label of a subdivision vertex slot, read at import for `_CONE_ORDER`."""
     rest, h = divmod(tet, 2)
     rest, k = divmod(rest, 4)
     cube, face_idx = divmod(rest, 6)
@@ -482,9 +482,9 @@ def subdivision_vertex_label(tet: int, slot: int):
 
 @dataclass(frozen=True)
 class ManifoldCheck:
-    """Verdict of `is_closed_manifold`.  When the check passes it carries
-    the quotient, so that callers read homology from it instead of building
-    it again; a failed check carries none."""
+    """Verdict of `is_closed_manifold`.  A passing check carries the
+    quotient, so that callers read homology from it instead of building it
+    again; a failed check carries none and names its first failing point."""
 
     ok: bool
     diagnostic: str
@@ -494,97 +494,72 @@ class ManifoldCheck:
         return self.ok
 
 
-def _first_cone_tets() -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """Within one cube, the first cone tetrahedron (in `cone_subdivide`'s
-    numbering) having each corner as slot 0 and each cube edge as its side."""
-    corner_first: dict[int, int] = {}
-    edge_first: dict[tuple[int, int], int] = {}
-    for face in FACES:
-        chart = CHARTS[face]
-        for k in range(4):
-            for h in (0, 1):
-                tet = _cone_tet(0, face.index, k, h)
-                corner_first.setdefault(chart[(k + h) % 4], tet)
-                edge_first.setdefault(tuple(sorted((chart[k], chart[(k + 1) % 4]))), tet)
-    return corner_first, edge_first
-
-
-_CORNER_FIRST_TET, _EDGE_FIRST_TET = _first_cone_tets()
+# One cube's 27 cone-subdivision points (corners, edge midpoints, square and
+# cube centres), labelled as cube 0's, in the order (tet, slot) meets them.
+_CONE_ORDER = tuple(dict.fromkeys(subdivision_vertex_label(tet, slot)
+                                  for tet in range(48) for slot in range(4)))
 
 
 def is_closed_manifold(spec: CubulationSpec) -> ManifoldCheck:
     """True iff every point of the quotient cube complex has a 2-sphere link.
 
-    Square and cube centres always do, so only two kinds of point can fail:
-    the midpoint of an edge orbit reversed onto itself (link RP^2, Euler
-    characteristic 1) and a corner orbit whose link has Euler characteristic
-    other than 2.  The test reads the class roots of corners and directed
-    cube edges: an edge orbit is reversed when both directions of one cube
-    edge share a root.  The corner link has one triangle per (cube, corner)
-    in the orbit and one vertex per directed-edge root leaving it, so its
-    Euler characteristic is vertices minus half the triangles.  Every link
-    is connected, since an orbit is one class of the gluing relation.  Only
-    a passing check builds the quotient, from the same roots, and carries
-    it.
+    For face pairings of a polyhedron this holds exactly when no edge orbit
+    is glued to itself reversed and V - E + F - C = 0, with F = 3C (Seifert
+    and Threlfall, *Lehrbuch der Topologie*, 1934).  Both are read off the
+    class roots of corners and directed cube edges; an edge orbit is
+    reversed when both directions of one cube edge share a root.  The
+    criterion is exact:
 
-    The diagnostic names the failing point as the vertex orbit of the cone
-    subdivision would: orbits numbered by their first (tet, slot) there,
-    the lowest-numbered failure reported.  The cone subdivision itself is
-    the independent oracle for this test.
+    * With no reversed edge orbit, each corner orbit's link is a closed
+      surface, connected since the orbit is one class of the gluing
+      relation: one triangle per (cube, corner) in the orbit, one vertex
+      per directed-edge root leaving it.  Other points have sphere links.
+    * Summed over corner orbits, the links have 2E vertices, 4F edges and
+      8C triangles, so 2 chi(M) = sum over corner orbits of (2 - chi(link)).
+    * No term is negative, so every link is a sphere iff chi(M) = 0.
+
+    Only a passing check builds the quotient, from the same roots, and
+    carries it.  A failing check walks the cone order cube by cube (cube
+    c's keys fill [192c, 192c + 192)), numbers each orbit when it first
+    meets it and names the first point whose link is not a sphere, as the
+    cone subdivision, this test's independent oracle, would.  A reversed
+    orbit's midpoint has link RP^2 (Euler characteristic 1); a corner link
+    has vertices minus half its triangles.
     """
     nc = spec.cube_count
     v_root, e_root = _cell_roots(spec)
-    # one entry per corner class, keyed by its root: its (cube, corner)
-    # count, the directed-edge roots leaving it, and its diagnostic key.  A
-    # key is 4 * tet + slot of the orbit's first (tet, slot) in the cone
-    # subdivision; slots 0..3 hold corner, midpoint, square and cube centre
-    triangles: dict[int, int] = {}
-    leaving: dict[int, set[int]] = {}
-    corner_key: dict[int, int] = {}
-    for cube in range(nc):
-        for corner, tet in _CORNER_FIRST_TET.items():
-            root, key = v_root[8 * cube + corner], 4 * (48 * cube + tet)
-            if root not in triangles:
-                triangles[root], leaving[root], corner_key[root] = 1, set(), key
-                continue
-            triangles[root] += 1
-            if key < corner_key[root]:
-                corner_key[root] = key
-    # one entry per edge orbit, keyed by the smaller root of its two
-    # directions; an orbit is reversed when they share a root
-    midpoint_key: dict[int, int] = {}
-    reversed_orbits = []
-    for cube in range(nc):
-        for (u, v), tet in _EDGE_FIRST_TET.items():
-            fwd, bwd = e_root[64 * cube + 8 * u + v], e_root[64 * cube + 8 * v + u]
-            leaving[v_root[8 * cube + u]].add(fwd)
-            leaving[v_root[8 * cube + v]].add(bwd)
-            orbit = fwd if fwd < bwd else bwd
-            key = 4 * (48 * cube + tet) + 1
-            if orbit not in midpoint_key:
-                midpoint_key[orbit] = key
-                if fwd == bwd:
-                    reversed_orbits.append(orbit)
-            elif key < midpoint_key[orbit]:
-                midpoint_key[orbit] = key
-
-    failures = [(midpoint_key[e], 1) for e in reversed_orbits]
-    for root, count in triangles.items():
-        euler = len(leaving[root]) - count // 2
-        if euler != 2:
-            failures.append((corner_key[root], euler))
-    if not failures:
+    edges = [(8 * c + u, 8 * c + v, 64 * c + 8 * u + v, 64 * c + 8 * v + u)
+             for c in range(nc) for u, v in _CUBE_EDGES]
+    # with no edge orbit reversed, the directed-edge roots number 2E
+    if (all(e_root[fwd] != e_root[bwd] for *_, fwd, bwd in edges)
+            and 2 * len(set(v_root)) + 4 * nc == len({e_root[k] for e in edges for k in e[2:]})):
         return ManifoldCheck(True, "all vertex links are 2-spheres",
                              _quotient_from_roots(spec, v_root, e_root))
-    key, euler = min(failures)
-    square_keys = [4 * min(_cone_tet(ca, p.face_a.index, 0, 0),
-                           _cone_tet(cb, p.face_b.index, 0, 0)) + 2
-                   for ca, cb, p in spec.pairs]
-    cube_keys = [4 * 48 * c + 3 for c in range(nc)]
-    orbit = sum(k < key for keys in (corner_key.values(), midpoint_key.values(),
-                                     square_keys, cube_keys) for k in keys)
-    label = subdivision_vertex_label(*divmod(key, 4))
-    return ManifoldCheck(False, f"vertex orbit {orbit} {label}: link euler={euler}, connected=True")
+    leaving: dict[int, set[int]] = {root: set() for root in v_root}
+    for u, v, fwd, bwd in edges:
+        leaving[v_root[u]].add(e_root[fwd])
+        leaving[v_root[v]].add(e_root[bwd])
+    square = {(c, str(f)): i for i, (ca, cb, p) in enumerate(spec.pairs)
+              for c, f in ((ca, p.face_a), (cb, p.face_b))}
+    seen = set()
+    for cube in range(nc):
+        for kind, _, *where in _CONE_ORDER:
+            label = (kind, cube, *where)
+            orbit, euler = label, 2  # a cube centre is its own orbit
+            if kind == "corner":
+                orbit = v_root[8 * cube + where[0]]
+                euler = len(leaving[orbit]) - v_root.count(orbit) // 2
+            elif kind == "edge midpoint":
+                u, v = where[0]
+                fwd, bwd = e_root[64 * cube + 8 * u + v], e_root[64 * cube + 8 * v + u]
+                orbit, euler = (kind, min(fwd, bwd)), 1 if fwd == bwd else 2
+            elif kind == "square centre":
+                orbit = (kind, square[cube, where[0]])
+            if euler != 2:
+                return ManifoldCheck(
+                    False, f"vertex orbit {len(seen)} {label}: link euler={euler}, connected=True")
+            seen.add(orbit)
+    raise AssertionError("nonzero Euler characteristic but every link a 2-sphere")
 
 
 # -- orientability and the orientation double cover ---------------------------

@@ -470,6 +470,22 @@ def test_only_a_passing_check_carries_the_quotient():
     assert passed == 625 + 255 + 1008 - 915
 
 
+def test_twice_euler_sums_the_link_defects_of_the_cone():
+    # the identity the manifold test rests on, checked on the independent
+    # complex: with no reversed edge orbit, 2 chi(M) = sum of (2 - chi(link))
+    quotients = [(spec, build_quotient(spec)) for spec in (g.to_spec() for g in RAW_GLUINGS)]
+    unreversed = [(spec, q) for spec, q in quotients if not q.reversed_edge_orbits]
+    assert all(q.euler_characteristic() >= 0 for _, q in unreversed)
+    covers = [double_cover(spec) for spec, _ in quotients
+              if is_closed_manifold(spec).ok and not quotient_is_orientable(spec)]
+    assert (len(unreversed), len(covers)) == (625 + 3848, 255)
+    specs = covers + [spec for spec, _ in unreversed[::8]]
+    for spec in specs:
+        tri = cone_subdivide(spec)
+        defects = sum(2 - tri.link_euler(o) for o in range(tri.vertex_orbit_count))
+        assert 2 * build_quotient(spec).euler_characteristic() == defects
+
+
 def _with_pairs_swapped(g, swaps):
     return CubeGluing(tuple(p.swapped() if swap else p for p, swap in zip(g.pairs, swaps)))
 

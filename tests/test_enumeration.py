@@ -150,6 +150,16 @@ def test_opposite_only_partition():
         assert all(p.face_a.opposite() == p.face_b for p in c.gluing.pairs)
 
 
+def test_burnside_counts_the_classes():
+    # (1/48) sum over the symmetries of the raw gluings each one fixes,
+    # read from the pair tables without any orbit closure
+    tables = _pair_tables()
+    for opposite_only, classes in ((False, 313), (True, 56)):
+        raw = [_encode(g) for g in enumerate_raw(opposite_only)]
+        fixed = sum(tuple(sorted(t[c] for c in codes)) == codes for t in tables for codes in raw)
+        assert (fixed, len(enumerate_canonical(opposite_only))) == (48 * classes, classes)
+
+
 def test_canonical_stream_is_sorted_and_stable():
     # sorted by the documented order: pairs by (faceA, faceB) with faces in
     # +x, -x, +y, -y, +z, -z order, then lexicographic on the symmetry token
