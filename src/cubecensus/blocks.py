@@ -293,11 +293,11 @@ def assemble_triangulation(g: CubeGluing) -> Triangulation:
 def glue_block(g: CubeGluing, choice: BlockChoice) -> Triangulation:
     """The block of `choice`, instantiated through its symmetry, with its
     boundary triangles glued according to g.  No manifold check: the
-    caller has tested g, and `choice` is `select_block(g)`."""
+    caller has tested g, and `choice` is `select_block(g)`.  A choice whose
+    pattern some pair of g does not match raises AssertionError."""
     cs = choice.symmetry
     tets = [tuple(sorted(cs.apply_corner(c) for c in tet))
             for tet in _BLOCK_TETS[choice.kind]]
-    pattern = choice.pattern
     gl: list[list] = [[None] * 4 for _ in tets]
 
     def glue(t1, f1, t2, f2, corner_map):
@@ -319,21 +319,16 @@ def glue_block(g: CubeGluing, choice: BlockChoice) -> Triangulation:
             (t1, f1), (t2, f2) = held
             glue(t1, f1, t2, f2, {c: c for c in triangle})
 
-    # boundary gluings: two triangles per face pair, matched diagonals
+    # boundary gluings: a triangle held once on face_a goes to the triangle
+    # its corners map to, held once too when the pattern matches the pair
     for pair in g.pairs:
         cmap = pair.corner_map()
-        diag_a = pattern.corner_diagonal(pair.face_a)
-        diag_b = pattern.corner_diagonal(pair.face_b)
-        if {cmap[c] for c in diag_a} != set(diag_b):
-            raise AssertionError("pattern diagonal not carried to pattern diagonal")
-        off_a = [c for c in CHARTS[pair.face_a] if c not in diag_a]
-        for u in off_a:
-            tri_a = frozenset(diag_a | {u})
-            tri_b = frozenset(cmap[c] for c in tri_a)
-            held = [owners.get(tri, []) for tri in (tri_a, tri_b)]
-            if list(map(len, held)) != [1, 1]:
-                raise AssertionError(f"boundary triangles {set(tri_a)}, {set(tri_b)} owned by {held}")
-            (t1, f1), (t2, f2) = held[0] + held[1]
-            glue(t1, f1, t2, f2, {c: cmap[c] for c in tri_a})
+        for tri_a, held_a in owners.items():
+            if len(held_a) == 1 and tri_a.issubset(cmap):
+                held_b = owners.get(frozenset(map(cmap.get, tri_a)), [])
+                if len(held_b) != 1:
+                    raise AssertionError(f"boundary triangle {set(tri_a)} maps to one owned by {held_b}")
+                (t1, f1), (t2, f2) = held_a + held_b
+                glue(t1, f1, t2, f2, {c: cmap[c] for c in tri_a})
 
     return Triangulation(gl)

@@ -38,7 +38,8 @@ class Face:
     sign: int  # +1 or -1
 
     def __post_init__(self):
-        if self.axis not in (0, 1, 2) or self.sign not in (1, -1):
+        if not (type(self.axis) is int and self.axis in (0, 1, 2)
+                and type(self.sign) is int and self.sign in (1, -1)):
             raise ValueError("bad face label")
 
     @property
@@ -101,8 +102,10 @@ class SquareSymmetry:
     reflected: bool
 
     def __post_init__(self):
-        if self.rotation not in (0, 1, 2, 3):
-            raise ValueError("rotation must be in 0..3")
+        if type(self.rotation) is not int or self.rotation not in (0, 1, 2, 3):
+            raise ValueError("rotation must be an int in 0..3")
+        if type(self.reflected) is not bool:
+            raise ValueError("reflected must be a bool")
 
     def apply(self, i: int) -> int:
         return (self.rotation - i) % 4 if self.reflected else (self.rotation + i) % 4
@@ -383,11 +386,6 @@ def quotient_chain_complex(q: QuotientComplex):
 
 # -- cone subdivision --------------------------------------------------------
 
-def _cone_tet(cube: int, face: int, k: int, h: int) -> int:
-    """The cone tetrahedron of `cube` over half h of side k of face index `face`."""
-    return ((cube * 6 + face) * 4 + k) * 2 + h
-
-
 def cone_subdivide(spec: CubulationSpec) -> Triangulation:
     """Cone each cube from its centre over the fully subdivided boundary.
 
@@ -400,64 +398,27 @@ def cone_subdivide(spec: CubulationSpec) -> Triangulation:
     quotient, including those hiding in the middle of identified cube
     edges.  The census does not use it: it is the independent check of
     `is_closed_manifold` and of the cube-complex homology.
+
+    Each cube copies one cube's internal gluings (`_CONE_INTERNAL`), and
+    each boundary triangle of face_a is glued to the one whose corner and
+    edge the pair's corner map gives (`_CONE_BOUNDARY`).  Every gluing
+    matches slot to slot.
     """
-    nc = spec.cube_count
+    gl: list[list] = [[None] * 4 for _ in range(48 * spec.cube_count)]
 
-    def side_of(face: Face, corners: frozenset[int]) -> int:
-        chart = CHARTS[face]
-        for k in range(4):
-            if frozenset((chart[k], chart[(k + 1) % 4])) == corners:
-                return k
-        raise AssertionError("not a side of this face")
+    def glue(t1, f1, t2, f2):
+        gl[t1][f1] = ((t2, f2), (0, 1, 2, 3))
+        gl[t2][f2] = ((t1, f1), (0, 1, 2, 3))
 
-    n = 48 * nc
-    gl: list[list] = [[None] * 4 for _ in range(n)]
-
-    def glue_identity(t1, f1, t2, f2):
-        # all slot structures aligned: corner, midpoint, square centre, cube centre
-        p = list(range(4))
-        gl[t1][f1] = ((t2, f2), tuple(p))
-        gl[t2][f2] = ((t1, f1), tuple(p))
-
-    face_adjacent: dict[tuple[int, frozenset[int]], list[tuple[Face, int]]] = {}
-    for cube in range(nc):
-        for face in FACES:
-            chart = CHARTS[face]
-            for k in range(4):
-                side = frozenset((chart[k], chart[(k + 1) % 4]))
-                face_adjacent.setdefault((cube, side), []).append((face, k))
-
-    for cube in range(nc):
-        for face in FACES:
-            for k in range(4):
-                # same side, two halves, shared triangle (midpoint, centre, cube centre)
-                glue_identity(_cone_tet(cube, face.index, k, 0), 0,
-                              _cone_tet(cube, face.index, k, 1), 0)
-                # adjacent sides around the corner chart[k+1]
-                glue_identity(_cone_tet(cube, face.index, k, 1), 1,
-                              _cone_tet(cube, face.index, (k + 1) % 4, 0), 1)
-        # across each cube edge, matching corner halves
-        for (u, v) in _CUBE_EDGES:
-            (fa, ka), (fb, kb) = face_adjacent[(cube, frozenset((u, v)))]
-            for corner in (u, v):
-                ha = 0 if CHARTS[fa][ka] == corner else 1
-                hb = 0 if CHARTS[fb][kb] == corner else 1
-                glue_identity(_cone_tet(cube, fa.index, ka, ha), 2,
-                              _cone_tet(cube, fb.index, kb, hb), 2)
-
+    for cube in range(spec.cube_count):
+        for (t1, f1), (t2, f2) in _CONE_INTERNAL:
+            glue(48 * cube + t1, f1, 48 * cube + t2, f2)
     for cube_a, cube_b, pair in spec.pairs:
-        face_a, face_b = pair.face_a, pair.face_b
-        imap = pair.index_map()
-        chart_b = CHARTS[face_b]
-        for k in range(4):
-            jk, jk1 = imap[k], imap[(k + 1) % 4]
-            kb = side_of(face_b, frozenset((chart_b[jk], chart_b[jk1])))
-            for h in (0, 1):
-                j = imap[(k + h) % 4]
-                hb = 0 if j == kb else 1
-                glue_identity(_cone_tet(cube_a, face_a.index, k, h), 3,
-                              _cone_tet(cube_b, face_b.index, kb, hb), 3)
-
+        cmap = pair.corner_map()
+        image = _CONE_BOUNDARY[str(pair.face_b)]
+        for (corner, (u, v)), t in _CONE_BOUNDARY[str(pair.face_a)].items():
+            t2 = image[cmap[corner], tuple(sorted((cmap[u], cmap[v])))]
+            glue(48 * cube_a + t, 3, 48 * cube_b + t2, 3)
     return Triangulation(gl)
 
 
@@ -475,6 +436,25 @@ def subdivision_vertex_label(tet: int, slot: int):
     if slot == 2:
         return ("square centre", cube, str(face))
     return ("cube centre", cube)
+
+
+def _one_cone():
+    """One cube's 48 cone tetrahedra, read off their vertex labels.  The
+    (tet, face) pairs that hold each internal triangle (faces 0, 1 and 2,
+    opposite the corner, midpoint and square centre), and, per cube face,
+    its 8 boundary tetrahedra keyed by their corner and edge."""
+    holders: dict[tuple, list[tuple[int, int]]] = {}
+    boundary: dict[str, dict[tuple, int]] = {}
+    for tet in range(48):
+        labels = tuple(subdivision_vertex_label(tet, slot) for slot in range(4))
+        for f in range(3):
+            holders.setdefault(labels[:f] + labels[f + 1:], []).append((tet, f))
+        (_, _, corner), (_, _, edge), (_, _, face), _ = labels
+        boundary.setdefault(face, {})[corner, edge] = tet
+    return tuple(holders.values()), boundary
+
+
+_CONE_INTERNAL, _CONE_BOUNDARY = _one_cone()
 
 
 # -- manifold test -----------------------------------------------------------

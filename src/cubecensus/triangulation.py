@@ -235,27 +235,17 @@ class Triangulation:
     def is_orientable(self) -> bool:
         """Orientations of the tetrahedra exist making every face pairing
         orientation-reversing on the shared triangle (equivalently, every
-        gluing permutation odd with respect to the chosen signs)."""
+        gluing permutation odd with respect to the chosen signs).  Node 2t
+        gives tetrahedron t sign +1 and node 2t + 1 sign -1: an odd gluing
+        joins equal signs and an even one opposite signs."""
         if not self.all_links_are_spheres():
             raise ValueError("orientability test needs a closed manifold triangulation")
-        sign: dict[int, int] = {}
-        for start in range(self.tet_count):
-            if start in sign:
-                continue
-            sign[start] = 1
-            stack = [start]
-            while stack:
-                t = stack.pop()
-                for f in range(4):
-                    (t2, _), p = self._gluings[t][f]
-                    needed = -sign[t] * perm_sign(p)
-                    if t2 in sign:
-                        if sign[t2] != needed:
-                            return False
-                    else:
-                        sign[t2] = needed
-                        stack.append(t2)
-        return True
+        pairs = []
+        for t, _, t2, _, p in self.face_pairs:
+            w = (perm_sign(p) + 1) // 2
+            pairs += [(2 * t, 2 * t2 + w), (2 * t + 1, 2 * t2 + 1 - w)]
+        parity = class_roots(2 * self.tet_count, pairs)
+        return all(parity[2 * t] != parity[2 * t + 1] for t in range(self.tet_count))
 
     # -- chain complex ----------------------------------------------------
 

@@ -213,3 +213,20 @@ def test_assembled_internal_edge_keeps_its_block_valence(raw_manifold_gluings):
         assert orbit.valence == block_valences(choice.kind)[0], str(g)
         checked += 1
     assert checked
+
+
+def test_glue_block_rejects_exactly_the_choices_whose_pattern_mismatches(raw_manifold_gluings):
+    # the block choices of all raw manifold gluings, tried on every 5th
+    # gluing: a choice glues up exactly when its pattern matches every pair
+    choices = list({(c.kind, c.pattern): c for c in map(select_block, raw_manifold_gluings)}.values())
+    assert len(choices) == 19
+    rejected = 0
+    for g in raw_manifold_gluings[::5]:
+        for choice in choices:
+            if mismatch_report(g, choice.pattern).mismatch_count:
+                with pytest.raises(AssertionError):
+                    glue_block(g, choice)
+                rejected += 1
+            else:
+                assert glue_block(g, choice).tet_count == choice.kind.tet_count
+    assert 0 < rejected < 19 * len(raw_manifold_gluings[::5])

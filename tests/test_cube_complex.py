@@ -5,6 +5,7 @@ over explicit coordinate maps; it shares no code with the union-find in
 the library.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -155,6 +156,21 @@ def test_face_labels():
         assert f.opposite().sign == -f.sign
         assert f.opposite().opposite() == f
         assert Face.from_str(str(f)) == f
+
+
+@pytest.mark.parametrize("cls, args", [
+    (SquareSymmetry, (True, False)),  # printed as rTrue, which does not parse
+    (SquareSymmetry, (1, "m")),
+    (SquareSymmetry, (1.0, False)),
+    (SquareSymmetry, (1, 0)),
+    (Face, (True, 1)),
+    (Face, (0, True)),
+    (Face, (0.0, 1)),
+    (Face, (2, -1.0)),
+])
+def test_face_and_symmetry_fields_must_be_ints_and_a_bool(cls, args):
+    with pytest.raises(ValueError):
+        cls(*args)
 
 
 def test_square_symmetry_group_laws():
@@ -327,6 +343,39 @@ def test_double_cover_spec_subdivides_to_twice_the_size():
     cover = orientation_double_cover(parse_gluing_text(K2XS1).to_spec())
     assert cover.cube_count == 2
     assert cone_subdivide(cover).tet_count == 96
+
+
+# sha256 of repr(cone_subdivide(spec).gluings), taken from the earlier
+# construction that glued each cube's sides and halves by their chart positions
+CONE_TABLE_SHA256 = {
+    T3: "dbe1619a972cfa138166c8afa5357c3fbe47f4b0f78c9e9f92b2704e8e144f09",
+    K2XS1: "71c1a843c56e75283fae325e69e8111adce10aae3ec8cc4d57e3b79488eedf3f",
+    REFERENCE_GLUINGS[1]: "d8962a8c2c584c8a51aa3ba8646784d98da24839af8fbb547e63ec849c42b9b3",
+    REFERENCE_GLUINGS[2]: "f039622cb1579fe4a5fd220fcf8e417a5b0eabbac20cf0151f945684e0532954",
+    REFERENCE_GLUINGS[3]: "18e29b35bae3a66ef34389b939e6dbda7c28689be9dd8e4009fc9953b29d5c7a",
+    "+x -x r0 / +y -y r1 / +z -z r1": "f3c06b1a1d156b12f5e6aa12cdd2a5a22de10c6f3a325a2edf82612dfe911c74",
+}
+K2XS1_COVER_CONE_SHA256 = "31a9582967e19e35e2b65918ada36c0d09a15d7bff7b4b0f00ee4b7033a92fa7"
+
+
+def _cone_digest(spec):
+    return hashlib.sha256(repr(cone_subdivide(spec).gluings).encode()).hexdigest()
+
+
+def test_cone_gluing_tables_are_pinned():
+    specs = {text: parse_gluing_text(text).to_spec() for text in CONE_TABLE_SHA256}
+    assert [is_closed_manifold(spec).ok for spec in specs.values()] == [True] * 5 + [False]
+    assert {text: _cone_digest(spec) for text, spec in specs.items()} == CONE_TABLE_SHA256
+    cover = orientation_double_cover(parse_gluing_text(K2XS1).to_spec())
+    assert _cone_digest(cover) == K2XS1_COVER_CONE_SHA256
+
+
+def test_every_cone_gluing_matches_face_f_to_face_f_slot_to_slot():
+    specs = [parse_gluing_text(text).to_spec() for text in CONE_TABLE_SHA256]
+    specs.append(orientation_double_cover(parse_gluing_text(K2XS1).to_spec()))
+    for spec in specs:
+        for faces in cone_subdivide(spec).gluings:
+            assert [(f2, p) for (_, f2), p in faces] == [(f, (0, 1, 2, 3)) for f in range(4)]
 
 
 def test_cubulation_spec_rejects_bad_slots():
