@@ -13,12 +13,15 @@ manifold obtained by gluing the faces of one cube in pairs:
 * the 4-valent block (the star of a 4-valent internal edge, an octahedron,
   plus two tetrahedra on opposite boundary triangles).
 
-Given a gluing, we count the face pairs whose maps fail to carry diagonal
+Given a gluing, we find the face pairs whose maps fail to carry diagonal
 to diagonal in the 5-tetrahedron pattern and repair the pattern by flipping
-one diagonal per bad pair (choosing flips in adjacent squares for two bad
-pairs, and in squares around a common cube corner for three).  The repaired
-pattern is always a rigid-symmetry image of one reference block, which is
-then instantiated through that symmetry and glued up.
+one diagonal per bad pair.  One loop tries the flips in a fixed order: one
+face of each bad pair, for up to two bad pairs, and the three faces at an
+odd-parity corner for three.  The first repaired pattern that matches every
+pair and is a rigid-symmetry image of a reference block is looked up in one
+table of block images, which names the block and the first symmetry
+carrying it there; the block is instantiated through that symmetry and
+glued up.
 
 The tables below are frozen transcriptions with corner ids 4x + 2y + z;
 their valence profiles are pinned by golden tests.
@@ -26,8 +29,10 @@ their valence profiles are pinned by golden tests.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .cube_complex import (
@@ -93,9 +98,11 @@ class DiagonalPattern:
     diagonals: tuple[frozenset[int], ...]  # indexed by Face.index
 
     def __post_init__(self):
-        if len(self.diagonals) != 6 or any(
-                d not in (frozenset((0, 2)), frozenset((1, 3))) for d in self.diagonals):
-            raise ValueError("a diagonal pattern needs one chart diagonal per face")
+        # a tuple of frozensets, so that the pattern hashes
+        if not (type(self.diagonals) is tuple and len(self.diagonals) == 6 and all(
+                type(d) is frozenset and d in (frozenset((0, 2)), frozenset((1, 3)))
+                for d in self.diagonals)):
+            raise ValueError("a diagonal pattern needs a tuple of one chart diagonal per face")
 
     def diagonal_of(self, face: Face) -> frozenset[int]:
         return self.diagonals[face.index]
@@ -117,26 +124,17 @@ class DiagonalPattern:
 
 
 def _pattern_of_block(kind: BlockKind) -> DiagonalPattern:
-    """Read the diagonal pattern off the block's boundary triangles."""
-    tets = _BLOCK_TETS[kind]
+    """Read the diagonal pattern off the block's boundary triangles, the
+    corner triples held by exactly one tetrahedron: each face holds two,
+    and the edge they share is the face's diagonal."""
+    held = collections.Counter(tet - {c} for tet in _BLOCK_TETS[kind] for c in tet)
     diagonals = []
     for face in FACES:
         chart = CHARTS[face]
-        square = set(chart)
-        choice = None
-        for positions in (frozenset((0, 2)), frozenset((1, 3))):
-            diag = {chart[i] for i in positions}
-            off = [c for c in square if c not in diag]
-            tris = [frozenset(diag | {u}) for u in off]
-            # boundary triangles belong to exactly one tetrahedron;
-            # triangles inside the block belong to two
-            if all(sum(1 for tet in tets if tri <= tet) == 1 for tri in tris):
-                if choice is not None:
-                    raise AssertionError(f"{kind}: both diagonals of {face} on the boundary")
-                choice = positions
-        if choice is None:
-            raise AssertionError(f"{kind}: no diagonal of {face} bounded by the block")
-        diagonals.append(choice)
+        tris = [tri for tri, n in held.items() if n == 1 and tri <= set(chart)]
+        if len(tris) != 2:
+            raise AssertionError(f"{kind}: {len(tris)} boundary triangles on {face}")
+        diagonals.append(frozenset(map(chart.index, tris[0] & tris[1])))
     return DiagonalPattern(tuple(diagonals))
 
 
@@ -194,9 +192,11 @@ def mismatch_report(g: CubeGluing, pattern: DiagonalPattern) -> MismatchReport:
 # -- block selection ----------------------------------------------------------
 
 
-def _faces_at_corner(corner: int) -> tuple[Face, ...]:
-    x, y, z = CORNER_COORDS[corner]
-    return (Face(0, 1 if x else -1), Face(1, 1 if y else -1), Face(2, 1 if z else -1))
+# the faces at each odd-parity corner, whose three base diagonals all
+# contain it, in corner order
+_ODD_CORNER_FACES = tuple(
+    tuple(Face(axis, 1 if coords[axis] else -1) for axis in range(3))
+    for coords in CORNER_COORDS if sum(coords) % 2)
 
 
 def _apply_symmetry_to_pattern(cs: CubeSymmetry, pattern: DiagonalPattern) -> DiagonalPattern:
@@ -207,6 +207,17 @@ def _apply_symmetry_to_pattern(cs: CubeSymmetry, pattern: DiagonalPattern) -> Di
     return DiagonalPattern(tuple(diagonals))
 
 
+@functools.cache
+def _block_images() -> dict[DiagonalPattern, tuple[BlockKind, CubeSymmetry]]:
+    """Every rigid image of every block's reference pattern -> the block's
+    kind and the first symmetry in ALL_CUBE_SYMMETRIES carrying it there."""
+    images: dict[DiagonalPattern, tuple[BlockKind, CubeSymmetry]] = {}
+    for kind in BlockKind:
+        for cs in ALL_CUBE_SYMMETRIES:
+            images.setdefault(_apply_symmetry_to_pattern(cs, _BLOCK_PATTERNS[kind]), (kind, cs))
+    return images
+
+
 @dataclass(frozen=True)
 class BlockChoice:
     kind: BlockKind
@@ -215,64 +226,25 @@ class BlockChoice:
     mismatch_count: int  # pairs of the gluing that FIVE_TET_PATTERN does not match
 
 
-@functools.lru_cache(maxsize=None)
-def _transport_symmetry(kind: BlockKind, pattern: DiagonalPattern) -> CubeSymmetry:
-    ref = _BLOCK_PATTERNS[kind]
-    for cs in ALL_CUBE_SYMMETRIES:
-        if _apply_symmetry_to_pattern(cs, ref) == pattern:
-            return cs
-    raise AssertionError(
-        f"pattern is not a rigid image of the {kind.value} block pattern; "
-        "the frozen block transcription would be wrong")
-
-
 def select_block(g: CubeGluing) -> BlockChoice:
-    """Case analysis on the number of non-matching pairs; the returned
-    pattern always matches all three pairs of g and is a rigid image of the
-    chosen block's reference pattern."""
-    report = mismatch_report(g, FIVE_TET_PATTERN)
-    bad = report.mismatching_pairs(g)
-    count = report.mismatch_count
-    pattern = FIVE_TET_PATTERN
-    if count == 0:
-        kind = BlockKind.FIVE_TETRAHEDRON
-    elif count == 1:
-        kind = BlockKind.FLIPPED
-        flip = min((bad[0].face_a, bad[0].face_b), key=lambda f: f.index)
-        pattern = pattern.flip(flip)
-    elif count == 2:
-        kind = BlockKind.FIVE_VALENT
-        candidates = [
-            (fa, fb)
-            for fa in (bad[0].face_a, bad[0].face_b)
-            for fb in (bad[1].face_a, bad[1].face_b)
-            if fa.opposite() != fb
-        ]
-        if not candidates:
-            raise AssertionError("no adjacent flip choice for two bad pairs")
-        fa, fb = min(candidates, key=lambda t: (t[0].index, t[1].index))
-        pattern = pattern.flip(fa).flip(fb)
+    """Flip one face of each pair of g that the base pattern does not match:
+    one face per bad pair in face order for up to two bad pairs, the faces
+    at an odd-parity corner in corner order for three.  The first flip whose
+    pattern matches all three pairs of g and is a block image is chosen."""
+    bad = mismatch_report(g, FIVE_TET_PATTERN).mismatching_pairs(g)
+    if len(bad) < 3:
+        flips = itertools.product(*(sorted((p.face_a, p.face_b)) for p in bad))
     else:
-        kind = BlockKind.FOUR_VALENT
-        pair_of_face = {f.index: i for i, p in enumerate(g.pairs)
-                        for f in (p.face_a, p.face_b)}
-        chosen = None
-        for corner in range(8):
-            # flip around an odd-parity corner, whose three pattern
-            # diagonals all contain it, provided its faces meet all pairs
-            if sum(CORNER_COORDS[corner]) % 2 == 0:
-                continue
-            faces = _faces_at_corner(corner)
-            if {pair_of_face[f.index] for f in faces} == {0, 1, 2}:
-                chosen = faces
-                break
-        if chosen is None:
-            raise AssertionError("no corner meets one face of each bad pair")
-        for f in chosen:
+        flips = _ODD_CORNER_FACES
+    images = _block_images()
+    for faces in flips:
+        pattern = FIVE_TET_PATTERN
+        for f in faces:
             pattern = pattern.flip(f)
-    if mismatch_report(g, pattern).mismatch_count != 0:
-        raise AssertionError("selected pattern does not match the gluing")
-    return BlockChoice(kind, pattern, _transport_symmetry(kind, pattern), count)
+        if pattern in images and all(pair_matches_pattern(p, pattern) for p in g.pairs):
+            kind, symmetry = images[pattern]
+            return BlockChoice(kind, pattern, symmetry, len(bad))
+    raise AssertionError(f"no flip of the bad pairs of {g} gives a block image")
 
 
 # -- assembling the triangulation ---------------------------------------------

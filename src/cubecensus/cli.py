@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("enumerate", "list canonical gluing classes", ("--opposite-only", "--format")),
         ("classify", "classify one gluing from a file", ("--format", "--input")),
         ("census", "classify every canonical class", ("--opposite-only", "--format")),
-        ("verify", "run the full census and verify the classification", ("--opposite-only",)),
+        ("verify", "run the full census and verify the classification", ()),
         ("blocks-selftest", "check block valence tables", ()),
     ):
         command = sub.add_parser(name, help=help_text)
@@ -107,9 +107,6 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.opposite_only:
-        print("verify needs the full census; drop --opposite-only", file=sys.stderr)
-        return 1
     report = run_census(False)
     result = verify_theorem(report)
     sys.stdout.write(render_verification(result))

@@ -1,5 +1,6 @@
 """The four blocks: frozen valence profiles, patterns, selection, assembly."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -8,6 +9,8 @@ from cubecensus.algebra import h1_of_chain_complex
 from cubecensus.blocks import (
     _BLOCK_INTERNAL_EDGE,
     _BLOCK_TETS,
+    _apply_symmetry_to_pattern,
+    _block_images,
     FIVE_TET_PATTERN,
     BlockKind,
     DiagonalPattern,
@@ -29,7 +32,8 @@ from cubecensus.cube_complex import (
     parse_gluing_text,
     quotient_chain_complex,
 )
-from cubecensus.enumeration import enumerate_raw
+from cubecensus.census import run_census
+from cubecensus.enumeration import ALL_CUBE_SYMMETRIES, enumerate_raw
 
 T3 = "+x -x r0 / +y -y r0 / +z -z r0"
 
@@ -74,6 +78,47 @@ def test_reference_pattern_flip_structure():
     assert len(three) == 3
     shared = set.intersection(*(set(CHARTS[f]) for f in three))
     assert len(shared) == 1  # three squares around one cube corner
+
+
+@pytest.mark.parametrize("diagonals", [
+    [frozenset((0, 2))] * 6,  # a list
+    ({0, 2},) * 6,  # sets compare equal to frozensets but do not hash
+])
+def test_unhashable_diagonal_pattern_is_rejected(diagonals):
+    with pytest.raises(ValueError):
+        DiagonalPattern(diagonals)
+
+
+def test_block_images_name_each_pattern_once_with_its_first_symmetry():
+    images = _block_images()
+    per_kind = {kind: {_apply_symmetry_to_pattern(cs, reference_pattern(kind))
+                       for cs in ALL_CUBE_SYMMETRIES} for kind in BlockKind}
+    assert [len(per_kind[kind]) for kind in BlockKind] == [2, 12, 24, 4]
+    # 42 keys in all, so no pattern is an image of two kinds
+    assert len(images) == 42
+    assert [sum(k is kind for k, _ in images.values()) for kind in BlockKind] == [2, 12, 24, 4]
+    for pattern, (kind, cs) in images.items():
+        first = ALL_CUBE_SYMMETRIES.index(cs)
+        carried = [_apply_symmetry_to_pattern(s, reference_pattern(kind)) == pattern
+                   for s in ALL_CUBE_SYMMETRIES[:first + 1]]
+        assert carried == [False] * first + [True]
+
+
+def test_census_searches_symmetries_only_while_building_the_table(monkeypatch):
+    from cubecensus import blocks
+
+    calls = []
+    apply = blocks._apply_symmetry_to_pattern
+
+    def counting(cs, pattern):
+        calls.append(cs)
+        return apply(cs, pattern)
+
+    monkeypatch.setattr(blocks, "_apply_symmetry_to_pattern", counting)
+    _block_images.cache_clear()
+    run_census(False)
+    # one build: every symmetry applied to each of the four reference blocks
+    assert len(calls) == len(BlockKind) * len(ALL_CUBE_SYMMETRIES) == 192
 
 
 def test_t3_mismatch_count_is_three():
@@ -230,3 +275,15 @@ def test_glue_block_rejects_exactly_the_choices_whose_pattern_mismatches(raw_man
             else:
                 assert glue_block(g, choice).tet_count == choice.kind.tet_count
     assert 0 < rejected < 19 * len(raw_manifold_gluings[::5])
+
+
+def test_block_choice_of_every_raw_gluing_is_pinned():
+    # kind, pattern, symmetry and mismatch count of all 7680 raw gluings in
+    # enumeration order: the order in which flips are tried and the
+    # symmetry the table keeps both show here
+    digest = hashlib.sha256()
+    for g in enumerate_raw(False):
+        c = select_block(g)
+        digest.update(f"{g} | {c.kind.value} | {[sorted(d) for d in c.pattern.diagonals]} | "
+                      f"{c.symmetry.corner_perm} | {c.mismatch_count}\n".encode())
+    assert digest.hexdigest() == "4668bbe85b3a93e1bd2afba67040ebed6ceb298e288204869ad5e2aee39a0ce2"
