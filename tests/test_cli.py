@@ -131,6 +131,20 @@ def test_census_records_deterministic_bytes(capsys):
     assert out1 == out2
 
 
+def test_census_records_do_not_depend_on_the_hash_seed():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for seed in ("0", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubecensus.cli", "census", "--format", "records"],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "cubecensus.cli", "blocks-selftest"],

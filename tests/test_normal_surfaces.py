@@ -1,6 +1,7 @@
 """Normal surface enumeration and the P^2-reducibility certificate checker,
 with negative controls the checker must reject."""
 
+import hashlib
 from math import gcd
 
 import pytest
@@ -12,6 +13,8 @@ from cubecensus.cube_complex import parse_gluing_text
 from cubecensus.normal_surfaces import (
     Certificate,
     CertificateKind,
+    _euler_weights,
+    _is_coboundary,
     check_certificate,
     find_certificate,
     matching_equations,
@@ -225,3 +228,54 @@ def test_certificates_cover_exactly_the_unidentified_classes(manifold_rows, p2_c
     # H1 = Z + Z/2 with an H1 = Z double cover
     assert sum(1 for r in spheres if r.h1 == Z) == 4
     assert all((r.h1, r.double_cover_h1) == (AbelianInvariants(1, (2,)), Z) for r in planes)
+
+
+@pytest.mark.parametrize("make", [
+    lambda coords: Certificate("sphere", coords),
+    lambda coords: Certificate(CertificateKind.NON_SEPARATING_SPHERE, None),
+    lambda coords: Certificate(CertificateKind.NON_SEPARATING_SPHERE,
+                               tuple(True if x == 1 else x for x in coords)),
+], ids=["kind-as-string", "coords-none", "coords-with-bool"])
+def test_certificate_rejects_fields_the_checker_would_misread(make):
+    cert = find_certificate(tri_of(S2_BUNDLE))
+    assert 1 in cert.coords
+    with pytest.raises(ValueError):
+        make(cert.coords)
+
+
+@pytest.fixture(scope="module")
+def manifold_surfaces(manifold_rows):
+    """(row, triangulation, vertex surfaces) of the 56 manifold classes in
+    census order."""
+    out = []
+    for row in manifold_rows:
+        tri = tri_of(row.class_id)
+        out.append((row, tri, vertex_normal_surfaces(tri)))
+    return out
+
+
+def test_vertex_surfaces_and_certificates_of_manifold_classes_are_pinned(manifold_surfaces):
+    # sha256 taken from the double description that scanned every ray for
+    # a witness and glued every sphere candidate before rejecting it
+    assert len(manifold_surfaces) == 56
+    digest = hashlib.sha256()
+    for row, tri, surfaces in manifold_surfaces:
+        cert = find_certificate(tri)
+        kind = cert.kind.value if cert else None
+        coords = cert.coords if cert else None
+        digest.update(f"{row.class_id} | {surfaces} | {kind} | {coords}\n".encode())
+    assert digest.hexdigest() == "be5a5cd321dba8098ae09e95287fb49bd8f08598697e8fb82f8800ef47b8b111"
+
+
+def test_euler_weights_and_sphere_rejection_agree_with_disc_gluing(manifold_surfaces):
+    rejected = 0
+    for row, tri, surfaces in manifold_surfaces:
+        weights = _euler_weights(tri)
+        for v in surfaces:
+            euler = sum(w * x for w, x in zip(weights, v))
+            assert euler == normal_euler_characteristic(tri, v) == summarise_surface(tri, v).euler
+            if euler == 2 and _is_coboundary(tri, v):
+                check = check_certificate(tri, Certificate(CertificateKind.NON_SEPARATING_SPHERE, v))
+                assert not check and "separates" in check.reason, row.class_id
+                rejected += 1
+    assert rejected
