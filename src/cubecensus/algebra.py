@@ -6,17 +6,22 @@ and sparse: boundary maps have a few nonzeros per column, and the
 transformation matrices of their Smith normal forms are mostly zero.
 `IntegerMatrix` stores only its nonzero entries, row by row, as
 (column, value) pairs in increasing column order, and a product forms only
-the products of nonzero entries.  The reduction works on sparse rows too:
-the matrix and its four transforms are dict rows {column: nonzero value},
-and the matrix also keeps, per column, the set of rows that are nonzero
-there, so every row and column operation touches only the nonzero entries
-it changes.  Skipping a zero term changes no result, so everything stays
-exact.  The reduction is classical row/column reduction.  Its pivot is a
-unit (+-1) from the shortest row that holds one, in the column with the
-fewest entries, which keeps the fill-in low (Markowitz's rule); only when no
-unit is left does it take the smallest magnitude.  Every Smith normal form
-carries unimodular transformation certificates, which are checked by exact
-multiplication of the returned matrices before the result is returned.
+the products of nonzero entries, one row at a time (`_product_rows`).  The
+reduction works on sparse rows too: the matrix and its four transforms are
+dict rows {column: nonzero value}, and the matrix also keeps, per column,
+the set of rows that are nonzero there, so every row and column operation
+touches only the nonzero entries it changes.  Skipping a zero term changes
+no result, so everything stays exact.  The reduction is classical
+row/column reduction.  Its pivot is a unit (+-1) from the shortest row that
+holds one, in the unit's column with the shortest transform row, then the
+fewest entries, which keeps the fill-in low (after Markowitz's rule); only
+when no unit is left does it take the smallest magnitude.  Once the pivot's
+column is cleared, one sweep over the pivot's row clears that row, since
+each of its column operations changes that row alone.  Every Smith normal
+form carries unimodular transformation certificates, which are checked
+before the result is returned: each row of each certificate product is
+multiplied out exactly and compared with the row it must equal, without
+building the product matrix.
 """
 
 from __future__ import annotations
@@ -99,26 +104,49 @@ class IntegerMatrix:
         return IntegerMatrix(rows, len(columns), tuple(map(tuple, terms)))
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        """Exact product self * other.
-
-        Each nonzero a = self[i][k] adds a * other[k] into a dict
-        accumulator for row i, so the cost is the number of nonzero
-        products, not rows * inner * cols.
-        """
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        right = other.terms
-        out = []
-        for row in self.terms:
-            acc: dict[int, int] = {}
-            for k, a in row:
-                for j, b in right[k]:
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
+        """Exact product self * other, built from `_product_rows`."""
+        return IntegerMatrix(self.rows, other.cols, tuple(
+            tuple(sorted((j, x) for j, x in acc.items() if x))
+            for acc in _product_rows(self, other)))
 
     def is_zero(self) -> bool:
         return not any(self.terms)
+
+
+def _product_rows(left: IntegerMatrix, right: IntegerMatrix):
+    """The rows of the exact product left * right, one at a time, each as a
+    dict {column: value} that may hold zero values.
+
+    Each nonzero a = left[i][k] adds a * right[k] into the dict of row i, so
+    the cost is the number of nonzero products, not rows * inner * cols.
+    """
+    if left.cols != right.rows:
+        raise ValueError("shape mismatch")
+    terms = right.terms
+    for row in left.terms:
+        acc: dict[int, int] = {}
+        for k, a in row:
+            for j, b in terms[k]:
+                acc[j] = acc.get(j, 0) + a * b
+        yield acc
+
+
+def _product_is(left: IntegerMatrix, right: IntegerMatrix, expected) -> bool:
+    """Whether left * right has the sparse rows `expected`, checked row by
+    row against `_product_rows`, so no product matrix is built.  Raises
+    ValueError when the inner shapes differ or `expected` does not hold
+    left.rows rows."""
+    if left.cols != right.rows:
+        raise ValueError("shape mismatch")
+    if len(expected) != left.rows:
+        raise ValueError(f"expected {len(expected)} rows of a product with {left.rows}")
+    for acc, row in zip(_product_rows(left, right), expected):
+        for j, x in row:
+            if acc.pop(j, 0) != x:
+                return False
+        if any(acc.values()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -145,43 +173,48 @@ class SmithNormalForm:
         return sum(1 for d in self.invariants if d % p != 0)
 
 
-def _pivot(a, in_col, k, rows):
-    """(row, column) of the next pivot in rows k.., or None if they are zero.
-    Rows k.. hold no entry left of column k.
+def _pivot(a, in_col, v_t, row_at, col_pos, k):
+    """(row, column) of the next pivot at positions k.., or None if those
+    rows are zero.  Rows at positions k.. hold no entry at a column
+    position below k.
 
-    A unit is taken from the shortest row that holds one, the lowest such
-    row among equals, in the column with the fewest entries, the lowest
-    among equals: the row operations then touch few rows and the column
-    operations few columns, so little fill-in arises.  Without a unit, the
-    smallest nonzero magnitude is taken, the first in row-major order."""
+    A unit is taken from the shortest row that holds one, the first such
+    row among equals, so the row operations touch few rows.  Its column is
+    the unit's column whose row of the transposed transform v_t is
+    shortest, then the one with the fewest entries, then the first: every
+    column operation of the stage adds a multiple of that v_t row, and a
+    short column touches few rows, so little fill-in arises.  Without a
+    unit, the smallest nonzero magnitude is taken, the first in row-major
+    order of the positions."""
     best = None
-    for i in range(k, rows):
+    for i in row_at[k:]:
         row = a[i]
-        if row and (best is None or len(row) < len(a[best])) and any(
-                x == 1 or x == -1 for x in row.values()):
-            best = i
+        if row and (best is None or len(row) < len(a[best])):
+            vals = row.values()
+            if 1 in vals or -1 in vals:
+                best = i
     if best is not None:
         units = [j for j, x in a[best].items() if x == 1 or x == -1]
-        return best, min(units, key=lambda j: (len(in_col[j]), j))
+        return best, min(units, key=lambda j: (len(v_t[j]), len(in_col[j]), col_pos[j]))
     best = 0
-    for i in range(k, rows):
+    for i in row_at[k:]:
         for j, x in a[i].items():
             mag = x if x > 0 else -x
-            if not best or mag < best or (mag == best and i == bi and j < bj):
+            if not best or mag < best or (mag == best and i == bi and col_pos[j] < col_pos[bj]):
                 best, bi, bj = mag, i, j
     return (bi, bj) if best else None
 
 
-def _offender(a, k, rows):
-    """A column j > k holding an entry a[i][j], i > k, that the pivot a[k][k]
-    does not divide (the first in row-major order), or None."""
-    p = a[k][k]
+def _offender(a, row_at, col_pos, k, p):
+    """A column holding an entry a[i][j], i at a position above k, that the
+    pivot p does not divide (the first in row-major order of the
+    positions), or None."""
     if p in (1, -1):
         return None
-    for i in range(k + 1, rows):
+    for i in row_at[k + 1:]:
         bad = [j for j, x in a[i].items() if x % p]
         if bad:
-            return min(bad)
+            return min(bad, key=col_pos.__getitem__)
     return None
 
 
@@ -196,12 +229,19 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     does not divide, starts again from the pivot rule with a strictly
     smaller pivot, so every stage ends.
 
+    Once the pivot's column holds only the pivot, a column operation
+    col j -= q * col k changes row k of the matrix alone, so the stage
+    clears row k in one sweep over it, updating the transforms as the
+    column operations would.
+
     Every matrix is held as dict rows {column: nonzero value}, and nonzeros
     of `a` are also indexed by column (in_col[j] is the set of rows i with
     a[i][j] != 0), so each operation touches only the nonzero entries it
-    changes.  Rows and columns are visited in index order, as a row-major
-    scan of the dense matrix would meet them, so neither the operations nor
-    the result depend on the order of a dict or a set.
+    changes.  Rows and columns keep their input indices; a swap exchanges
+    their positions (row_at, col_at and their inverses), and the stage k
+    pivot sits at position (k, k).  Ties are broken by position, and the
+    updates that one stage adds into a single row commute, so neither the
+    operations nor the result depend on the order of a dict or a set.
     """
     rows, cols = m.rows, m.cols
     a = [dict(row) for row in m.terms]
@@ -211,18 +251,14 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
             in_col[j].add(i)
     # u_inv and v are kept transposed, so each of their updates is a row update
     u, uinv_t, v_t, vinv = _eye(rows), _eye(rows), _eye(cols), _eye(cols)
+    row_at, row_pos = list(range(rows)), list(range(rows))
+    col_at, col_pos = list(range(cols)), list(range(cols))
 
-    def row_swap(i, j):
-        ai, aj = a[i], a[j]
-        for c in ai.keys() - aj.keys():
-            in_col[c].remove(i)
-            in_col[c].add(j)
-        for c in aj.keys() - ai.keys():
-            in_col[c].remove(j)
-            in_col[c].add(i)
-        a[i], a[j] = aj, ai
-        u[i], u[j] = u[j], u[i]
-        uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
+    def swap(at, pos, k, i):
+        # move index i to position k
+        j = at[k]
+        at[k], at[pos[i]] = i, j
+        pos[j], pos[i] = pos[i], k
 
     def row_add(i, j, q):
         # row i += q * row j
@@ -244,18 +280,6 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
         u[i] = {c: -x for c, x in u[i].items()}
         uinv_t[i] = {c: -x for c, x in uinv_t[i].items()}
 
-    def col_swap(i, j):
-        for r in in_col[i] | in_col[j]:
-            ar = a[r]
-            x, y = ar.pop(i, 0), ar.pop(j, 0)
-            if y:
-                ar[i] = y
-            if x:
-                ar[j] = x
-        in_col[i], in_col[j] = in_col[j], in_col[i]
-        v_t[i], v_t[j] = v_t[j], v_t[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
     def col_add(i, j, q):
         # col i += q * col j
         col_i = in_col[i]
@@ -274,50 +298,60 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     k = 0
     limit = min(rows, cols)
     while k < limit:
-        found = _pivot(a, in_col, k, rows)
+        found = _pivot(a, in_col, v_t, row_at, col_pos, k)
         if found is None:
             break
-        pi, pj = found
-        if pi != k:
-            row_swap(k, pi)
-        if pj != k:
-            col_swap(k, pj)
-        # clear column k with row operations, then row k with column
+        r, c = found
+        swap(row_at, row_pos, k, r)
+        swap(col_at, col_pos, k, c)
+        # clear column c with row operations, then row r with column
         # operations; a nonzero remainder is smaller than the pivot, so the
-        # stage restarts and the pivot rule picks it up
-        p = a[k][k]
-        for i in sorted(in_col[k]):
-            if i > k:
-                q = a[i][k] // p
+        # stage restarts and the pivot rule picks it up.  The other rows of
+        # column c and columns of row r all sit at positions above k.
+        ar = a[r]
+        p = ar[c]
+        for i in sorted(in_col[c]):
+            if i != r:
+                q = a[i][c] // p
                 if q:
-                    row_add(i, k, -q)
-        if len(in_col[k]) > 1:
+                    row_add(i, r, -q)
+        if len(in_col[c]) > 1:
             continue
-        for j in sorted(a[k]):
-            if j > k:
-                q = a[k][j] // p
+        # column c now holds only the pivot, so col j -= q * col c changes
+        # row r of `a` alone: one sweep over row r
+        for j in sorted(ar):
+            if j != c:
+                q = ar[j] // p
                 if q:
-                    col_add(j, k, -q)
-        if len(a[k]) > 1:
+                    x = ar[j] - q * p
+                    if x:
+                        ar[j] = x
+                    else:
+                        del ar[j]
+                        in_col[j].remove(r)
+                    _axpy(v_t[j], v_t[c], -q)
+                    _axpy(vinv[c], vinv[j], q)
+        if len(ar) > 1:
             continue
-        # enforce divisibility of the rest of the matrix by a[k][k]
-        offender = _offender(a, k, rows)
+        # enforce divisibility of the rest of the matrix by the pivot
+        offender = _offender(a, row_at, col_pos, k, p)
         if offender is not None:
-            col_add(k, offender, 1)
+            col_add(c, offender, 1)
             continue
-        if a[k][k] < 0:
-            row_neg(k)
+        if p < 0:
+            row_neg(r)
         k += 1
 
-    # the stages leave a[i][i] > 0 for i < k and rows k.. empty
-    invariants = tuple(a[i][i] for i in range(k))
+    # the stages leave a positive pivot at positions (i, i), i < k, and
+    # the rows at positions k.. empty
+    invariants = tuple(a[row_at[i]][col_at[i]] for i in range(k))
     result = SmithNormalForm(
         matrix=m,
         invariants=invariants,
-        u=IntegerMatrix(rows, rows, _terms(u)),
-        v=IntegerMatrix.from_columns(cols, v_t),
-        u_inv=IntegerMatrix.from_columns(rows, uinv_t),
-        v_inv=IntegerMatrix(cols, cols, _terms(vinv)),
+        u=IntegerMatrix(rows, rows, _terms([u[i] for i in row_at])),
+        v=IntegerMatrix.from_columns(cols, [v_t[j] for j in col_at]),
+        u_inv=IntegerMatrix.from_columns(rows, [uinv_t[i] for i in row_at]),
+        v_inv=IntegerMatrix(cols, cols, _terms([vinv[j] for j in col_at])),
     )
     _verify_certificate(result)
     return result
@@ -326,7 +360,9 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
 def _verify_certificate(s: SmithNormalForm) -> None:
     """Exact check of u*m = D*v_inv, u*u_inv = I and v*v_inv = I, where D is
     the diagonal of the invariant factors.  v is square, so v*v_inv = I
-    makes v_inv*v = I too, and the first equation is then u*m*v = D."""
+    makes v_inv*v = I too, and the first equation is then u*m*v = D.  Each
+    product is compared row by row with the rows it must equal
+    (`_product_is`), so no product matrix is built."""
     m, diag = s.matrix, s.invariants
     if len(diag) > min(m.rows, m.cols):
         raise AssertionError("SNF has more invariant factors than min(rows, cols)")
@@ -335,13 +371,12 @@ def _verify_certificate(s: SmithNormalForm) -> None:
     for d1, d2 in zip(diag, diag[1:]):
         if d2 % d1 != 0:
             raise AssertionError("SNF invariant factors not a divisibility chain")
-    for i, row in enumerate(s.u.mul(m).terms):
-        expected = tuple((j, diag[i] * x) for j, x in s.v_inv.terms[i]) if i < len(diag) else ()
-        if row != expected:
-            raise AssertionError("SNF certificate failed: u*m != D*v_inv")
-    if s.u.mul(s.u_inv).terms != _terms(_eye(m.rows)):
+    scaled = tuple(tuple((j, d * x) for j, x in row) for d, row in zip(diag, s.v_inv.terms))
+    if not _product_is(s.u, m, scaled + ((),) * (m.rows - len(diag))):
+        raise AssertionError("SNF certificate failed: u*m != D*v_inv")
+    if not _product_is(s.u, s.u_inv, _terms(_eye(m.rows))):
         raise AssertionError("SNF certificate failed: u not unimodular")
-    if s.v.mul(s.v_inv).terms != _terms(_eye(m.cols)):
+    if not _product_is(s.v, s.v_inv, _terms(_eye(m.cols))):
         raise AssertionError("SNF certificate failed: v not unimodular")
 
 
@@ -399,6 +434,14 @@ def _edges_outside_a_spanning_forest(d1: IntegerMatrix) -> list[int]:
     return [e for e in range(d1.cols) if not in_forest[e]]
 
 
+def _require_chain_complex(d2: IntegerMatrix, d1: IntegerMatrix) -> None:
+    """ValueError unless d1 * d2 is defined and zero, checked row by row."""
+    if d1.cols != d2.rows:
+        raise ValueError("chain complex shape mismatch")
+    if not _product_is(d1, d2, ((),) * d1.rows):
+        raise ValueError("not a chain complex: d1 * d2 != 0")
+
+
 def h1_of_chain_complex(d2: IntegerMatrix, d1: IntegerMatrix) -> AbelianInvariants:
     """First homology ker(d1)/im(d2) of a chain complex of free Z-modules.
 
@@ -414,10 +457,7 @@ def h1_of_chain_complex(d2: IntegerMatrix, d1: IntegerMatrix) -> AbelianInvarian
     outside T.  So H1 is the cokernel of that restriction: one Smith normal
     form, exact for any graph, connected or not.
     """
-    if d1.cols != d2.rows:
-        raise ValueError("chain complex shape mismatch")
-    if not d1.mul(d2).is_zero():
-        raise ValueError("not a chain complex: d1 * d2 != 0")
+    _require_chain_complex(d2, d1)
     outside = _edges_outside_a_spanning_forest(d1)
     w = IntegerMatrix(len(outside), d2.cols, tuple(d2.terms[e] for e in outside))
     snf_w = smith_normal_form(w)
@@ -429,10 +469,7 @@ def h1_with_coefficients(d2: IntegerMatrix, d1: IntegerMatrix, p: int) -> int:
     """Dimension of first homology with coefficients in the field Z/p."""
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError("p must be a prime >= 2")
-    if d1.cols != d2.rows:
-        raise ValueError("chain complex shape mismatch")
-    if not d1.mul(d2).is_zero():
-        raise ValueError("not a chain complex: d1 * d2 != 0")
+    _require_chain_complex(d2, d1)
     rank1 = smith_normal_form(d1).rank_mod(p)
     rank2 = smith_normal_form(d2).rank_mod(p)
     return (d1.cols - rank1) - rank2

@@ -20,6 +20,7 @@ Conventions fixed once and used everywhere:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .algebra import IntegerMatrix
@@ -399,27 +400,44 @@ def cone_subdivide(spec: CubulationSpec) -> Triangulation:
     edges.  The census does not use it: it is the independent check of
     `is_closed_manifold` and of the cube-complex homology.
 
-    Each cube copies one cube's internal gluings (`_CONE_INTERNAL`), and
-    each boundary triangle of face_a is glued to the one whose corner and
-    edge the pair's corner map gives (`_CONE_BOUNDARY`).  Every gluing
-    matches slot to slot.
+    Each cube copies one cube's 48 rows of internal gluings
+    (`_cone_cube_rows`), and each boundary triangle of face_a is glued to
+    the one whose corner and edge the pair's corner map gives
+    (`_cone_matches`).  Every gluing matches slot to slot.
     """
-    gl: list[list] = [[None] * 4 for _ in range(48 * spec.cube_count)]
-
-    def glue(t1, f1, t2, f2):
-        gl[t1][f1] = ((t2, f2), (0, 1, 2, 3))
-        gl[t2][f2] = ((t1, f1), (0, 1, 2, 3))
-
+    identity = (0, 1, 2, 3)
+    gl: list[list] = []
     for cube in range(spec.cube_count):
-        for (t1, f1), (t2, f2) in _CONE_INTERNAL:
-            glue(48 * cube + t1, f1, 48 * cube + t2, f2)
+        base = 48 * cube
+        gl += [[((base + t2, f2), identity) for t2, f2 in row] + [None]
+               for row in _cone_cube_rows()]
     for cube_a, cube_b, pair in spec.pairs:
-        cmap = pair.corner_map()
-        image = _CONE_BOUNDARY[str(pair.face_b)]
-        for (corner, (u, v)), t in _CONE_BOUNDARY[str(pair.face_a)].items():
-            t2 = image[cmap[corner], tuple(sorted((cmap[u], cmap[v])))]
-            glue(48 * cube_a + t, 3, 48 * cube_b + t2, 3)
+        for t, t2 in _cone_matches(pair):
+            t, t2 = 48 * cube_a + t, 48 * cube_b + t2
+            gl[t][3] = ((t2, 3), identity)
+            gl[t2][3] = ((t, 3), identity)
     return Triangulation(gl)
+
+
+@functools.cache
+def _cone_cube_rows() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per tetrahedron of one cube's cone, the (tet, face) glued to its
+    faces 0, 1 and 2; face 3 lies on the cube's boundary."""
+    rows = [[None] * 3 for _ in range(48)]
+    for (t1, f1), (t2, f2) in _CONE_INTERNAL:
+        rows[t1][f1] = (t2, f2)
+        rows[t2][f2] = (t1, f1)
+    return tuple(map(tuple, rows))
+
+
+@functools.cache
+def _cone_matches(pair: GluingPair) -> tuple[tuple[int, int], ...]:
+    """The 8 pairs (t, t2) of cone tetrahedra whose boundary faces the pair
+    glues: t on face_a and t2 on face_b, numbered within their cubes."""
+    cmap = pair.corner_map()
+    image = _CONE_BOUNDARY[str(pair.face_b)]
+    return tuple((t, image[cmap[corner], tuple(sorted((cmap[u], cmap[v])))])
+                 for (corner, (u, v)), t in _CONE_BOUNDARY[str(pair.face_a)].items())
 
 
 def subdivision_vertex_label(tet: int, slot: int):

@@ -13,6 +13,8 @@ subdivision cones cubes whose faces are all paired.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,8 +23,12 @@ from .algebra import IntegerMatrix
 Perm4 = tuple[int, int, int, int]
 Gluing = tuple[tuple[int, int], Perm4]  # ((tet', face'), vertex bijection)
 
-_TET_EDGES = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
-_FACE_VERTICES = tuple(tuple(v for v in range(4) if v != f) for f in range(4))
+# each tetrahedron edge a < b with the keys 4a + b and 4b + a of its two
+# directions (see `_edge_roots`)
+_TET_EDGES = tuple((a, b, 4 * a + b, 4 * b + a) for a in range(4) for b in range(a + 1, 4))
+# per face a < b < c, the boundary a->b + b->c - a->c as (direction key, sign)
+_FACE_TERMS = tuple(((4 * a + b, 1), (4 * b + c, 1), (4 * a + c, -1))
+                    for a, b, c in (tuple(v for v in range(4) if v != f) for f in range(4)))
 
 
 def perm_inverse(p: Perm4) -> Perm4:
@@ -39,6 +45,23 @@ def perm_sign(p: Perm4) -> int:
             if p[i] > p[j]:
                 sign = -sign
     return sign
+
+
+@functools.cache
+def _face_table() -> dict[tuple[int, Perm4], tuple[tuple[tuple[int, int], ...],
+                                                   tuple[tuple[int, int], ...], Perm4]]:
+    """Per (face f, permutation p of 0..3): the slot pairs (v, p[v]) that a
+    gluing of face f by p identifies, the pairs of directed-edge keys
+    (4a + b, 4p[a] + p[b]) of the six directions of its three edges, and the
+    inverse of p.  Built on first use, not at import."""
+    table = {}
+    for p in itertools.permutations(range(4)):
+        inverse = perm_inverse(p)
+        for f in range(4):
+            slots = tuple((v, p[v]) for v in range(4) if v != f)
+            keys = tuple((4 * a + b, 4 * p[a] + p[b]) for a, _ in slots for b, _ in slots if b != a)
+            table[f, p] = (slots, keys, inverse)
+    return table
 
 
 def class_roots(size: int, pairs) -> list[int]:
@@ -88,20 +111,26 @@ class Triangulation:
 
     def _check(self) -> None:
         n = self.tet_count
-        for t in range(n):
-            for f in range(4):
-                entry = self._gluings[t][f]
+        table = _face_table()
+        gluings = self._gluings
+        for t, faces in enumerate(gluings):
+            for f, entry in enumerate(faces):
                 if entry is None:
                     raise ValueError(f"face {t}:{f} is unglued")
                 (t2, f2), p = entry
-                if not (0 <= t2 < n and 0 <= f2 < 4):
-                    raise ValueError(f"gluing target out of range at {t}:{f}")
-                if sorted(p) != [0, 1, 2, 3] or p[f] != f2:
-                    raise ValueError(f"bad vertex bijection at {t}:{f}")
-                if (t2, f2) == (t, f):
+                if type(t2) is not int or type(f2) is not int or not (0 <= t2 < n and 0 <= f2 < 4):
+                    raise ValueError(f"gluing target {(t2, f2)!r} at {t}:{f} is not a face in range")
+                # a bool or a float equals an int and hashes like it, so the
+                # types are checked before the table lookup
+                row = (table.get((f, p)) if type(p) is tuple and len(p) == 4
+                       and type(p[0]) is type(p[1]) is type(p[2]) is type(p[3]) is int else None)
+                if row is None or p[f] != f2:
+                    raise ValueError(f"bad vertex bijection {p!r} at {t}:{f}: needs a tuple "
+                                     f"of four ints permuting 0..3 that takes {f} to {f2}")
+                if t2 == t and f2 == f:
                     raise ValueError(f"face {t}:{f} glued to itself")
-                back = self._gluings[t2][f2]
-                if back is None or back[0] != (t, f) or back[1] != perm_inverse(p):
+                back = gluings[t2][f2]
+                if back is None or back[0] != (t, f) or back[1] != row[2]:
                     raise ValueError(f"gluing at {t}:{f} is not a matched involution")
 
     @property
@@ -134,16 +163,23 @@ class Triangulation:
     @cached_property
     def _vertex_roots(self) -> list[int]:
         """Vertex classes keyed by 4 * tet + slot, as `class_roots` gives them."""
+        table = _face_table()
         return class_roots(4 * self.tet_count, [
-            (4 * t + v, 4 * t2 + p[v])
-            for t, f, t2, _, p in self.face_pairs for v in range(4) if v != f])
+            (4 * t + v, 4 * t2 + w)
+            for t, f, t2, _, p in self.face_pairs for v, w in table[f, p][0]])
+
+    @cached_property
+    def _vertex_index(self) -> list[int]:
+        """The vertex orbit of each 4 * tet + slot, orbits numbered in
+        increasing order of their roots."""
+        roots = self._vertex_roots
+        renum = {r: i for i, r in enumerate(sorted(set(roots)))}
+        return [renum[r] for r in roots]
 
     @cached_property
     def vertex_orbit_index(self) -> dict[tuple[int, int], int]:
-        roots = self._vertex_roots
-        renum = {r: i for i, r in enumerate(sorted(set(roots)))}
-        return {(t, v): renum[roots[4 * t + v]]
-                for t in range(self.tet_count) for v in range(4)}
+        index = self._vertex_index
+        return {(t, v): index[4 * t + v] for t in range(self.tet_count) for v in range(4)}
 
     @cached_property
     def vertex_orbit_count(self) -> int:
@@ -158,39 +194,46 @@ class Triangulation:
     @cached_property
     def _edge_roots(self) -> list[int]:
         """Classes of directed edges, by key, as `class_roots` gives them."""
+        table = _face_table()
         return class_roots(16 * self.tet_count, [
-            (16 * t + 4 * a + b, 16 * t2 + 4 * p[a] + p[b])
-            for t, f, t2, _, p in self.face_pairs
-            for a in range(4) if a != f
-            for b in range(4) if b != a and b != f])
+            (16 * t + x, 16 * t2 + y)
+            for t, f, t2, _, p in self.face_pairs for x, y in table[f, p][1]])
+
+    @cached_property
+    def _edge_orbit_keys(self) -> list[tuple[int, int]]:
+        """Per edge orbit, in increasing order of its smallest directed-edge
+        key k: (k, the root of k's reverse).  k is a -> b, a < b, on the
+        orbit's first edge in (tet, a, b) order; it is the orbit's positive
+        direction and the root of its own class."""
+        roots = self._edge_roots
+        keys = []
+        for base in range(0, 16 * self.tet_count, 16):
+            for _, _, ab, ba in _TET_EDGES:
+                k, back = base + ab, roots[base + ba]
+                if roots[k] == k and k <= back:
+                    keys.append((k, back))
+        return keys
 
     @cached_property
     def edge_orbits(self) -> tuple[EdgeOrbit, ...]:
-        roots = self._edge_roots
-        groups: dict[int, list[tuple[int, int, int]]] = {}
+        roots, orbit_keys = self._edge_roots, self._edge_orbit_keys
+        index = {k: i for i, (k, _) in enumerate(orbit_keys)}
+        members: list[list[tuple[int, int, int]]] = [[] for _ in orbit_keys]
         for t in range(self.tet_count):
-            for a, b in _TET_EDGES:
-                root = min(roots[16 * t + 4 * a + b], roots[16 * t + 4 * b + a])
-                groups.setdefault(root, []).append((t, a, b))
-        orbits = []
-        for root in sorted(groups):
-            members = tuple(groups[root])  # appended in increasing order
-            t0, a0, b0 = members[0]
-            rev = roots[16 * t0 + 4 * a0 + b0] == roots[16 * t0 + 4 * b0 + a0]
-            orbits.append(EdgeOrbit(
-                representative=(t0, a0, b0),
-                members=members,
-                valence=len(members),
-                reversed_on_itself=rev,
-            ))
-        return tuple(orbits)
+            base = 16 * t
+            for a, b, ab, ba in _TET_EDGES:
+                x, y = roots[base + ab], roots[base + ba]
+                members[index[x if x < y else y]].append((t, a, b))
+        return tuple(EdgeOrbit(representative=group[0], members=tuple(group),
+                               valence=len(group), reversed_on_itself=k == back)
+                     for (k, back), group in zip(orbit_keys, members))
 
     @cached_property
     def has_reversed_edge(self) -> bool:
-        return any(o.reversed_on_itself for o in self.edge_orbits)
+        return any(k == back for k, back in self._edge_orbit_keys)
 
     def euler_characteristic(self) -> int:
-        return (self.vertex_orbit_count - len(self.edge_orbits)
+        return (self.vertex_orbit_count - len(self._edge_orbit_keys)
                 + len(self.face_pairs) - self.tet_count)
 
     # -- vertex links -----------------------------------------------------
@@ -257,21 +300,21 @@ class Triangulation:
         edge's `_edge_roots` root names its orbit and its sign (+1 on the representative's)."""
         if self.has_reversed_edge:
             raise ValueError("chain complex undefined: an edge orbit is reversed onto itself")
-        roots, vertex = self._edge_roots, self.vertex_orbit_index
+        roots, vertex = self._edge_roots, self._vertex_index
         edge: dict[int, tuple[int, int]] = {}  # direction root -> (orbit, sign)
         d1_cols = []
-        for idx, orbit in enumerate(self.edge_orbits):
-            t, a, b = orbit.representative
-            edge[roots[16 * t + 4 * a + b]] = (idx, 1)
-            edge[roots[16 * t + 4 * b + a]] = (idx, -1)
-            head, tail = vertex[(t, b)], vertex[(t, a)]
+        for idx, (k, back) in enumerate(self._edge_orbit_keys):
+            edge[k] = (idx, 1)
+            edge[back] = (idx, -1)
+            t, a, b = k >> 4, (k >> 2) & 3, k & 3
+            head, tail = vertex[4 * t + b], vertex[4 * t + a]
             d1_cols.append({head: 1, tail: -1} if head != tail else {})
         d2_cols = []
         for t, f, *_ in self.face_pairs:
-            a, b, c = _FACE_VERTICES[f]
+            base = 16 * t
             col: dict[int, int] = {}
-            for (x, y, s) in ((a, b, 1), (b, c, 1), (a, c, -1)):
-                idx, sign = edge[roots[16 * t + 4 * x + y]]
+            for key, s in _FACE_TERMS[f]:
+                idx, sign = edge[roots[base + key]]
                 col[idx] = col.get(idx, 0) + s * sign
             d2_cols.append(col)
         return (IntegerMatrix.from_columns(len(d1_cols), d2_cols),

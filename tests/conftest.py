@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from cubecensus.blocks import assemble_triangulation
@@ -5,6 +7,41 @@ from cubecensus.census import run_census
 from cubecensus.cube_complex import is_closed_manifold, parse_gluing_text
 from cubecensus.enumeration import enumerate_canonical, enumerate_raw
 from cubecensus.normal_surfaces import find_certificate
+
+
+# seconds one test may run, its fixtures included: more than six times the
+# slowest test seen
+TEST_TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_TIME_LIMIT_S.  It derives from BaseException so
+    that no `except Exception` in a test or in Hypothesis swallows it."""
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Fail a test that runs past TEST_TIME_LIMIT_S instead of letting the
+    suite hang: a real-time interval timer, armed for the set-up, call and
+    teardown of each test, raises in the running code.  It wraps the whole
+    protocol rather than sitting in an autouse fixture, because a module-
+    or session-scoped fixture is set up before any function-scoped one,
+    where such a fixture's timer would not yet run."""
+    def expire(signum, frame):
+        if frame is not None and frame.f_lineno is None:
+            # pytest cannot show a traceback entry without a line number,
+            # so raise a moment later, at an instruction that has one
+            signal.setitimer(signal.ITIMER_REAL, 0.01)
+            return
+        raise TimeLimitExceeded(f"{item.nodeid} ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

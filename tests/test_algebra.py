@@ -22,6 +22,7 @@ from cubecensus.algebra import (
     AbelianInvariants,
     IntegerMatrix,
     SmithNormalForm,
+    _product_is,
     _verify_certificate,
     h1_of_chain_complex,
     h1_with_coefficients,
@@ -507,3 +508,43 @@ def test_h1_with_coefficients_accepts_larger_primes():
     klein_d2 = from_rows([[0, 0, 0], [0, -2, 0], [0, 0, 0]])
     for p in (7, 11, 13):
         assert h1_with_coefficients(klein_d2, d1, p) == 2
+
+
+def test_product_check_rejects_mismatched_shapes_and_row_counts():
+    left, right = IntegerMatrix.zero(2, 3), IntegerMatrix.zero(3, 4)
+    assert _product_is(left, right, ((), ()))
+    with pytest.raises(ValueError):
+        _product_is(left, IntegerMatrix.zero(2, 4), ((), ()))
+    for expected in (((),), ((),) * 3):
+        with pytest.raises(ValueError):
+            _product_is(left, right, expected)
+
+
+@pytest.mark.parametrize("expected, holds", [
+    ((((0, 2), (1, 3)), ((1, 4),)), True),
+    ((((0, 2),), ((1, 4),)), False),                  # a product entry is not expected
+    ((((0, 2), (1, 3), (2, 1)), ((1, 4),)), False),   # an expected entry is not in the product
+    ((((0, 2), (1, 5)), ((1, 4),)), False),           # an entry differs
+    ((((0, 2), (1, 3)), ()), False),                  # a row is missing
+], ids=["equal", "extra-in-product", "missing-from-product", "differs", "empty-row"])
+def test_product_check_compares_every_entry(expected, holds):
+    left, right = from_rows([[1, 0], [0, 2]]), from_rows([[2, 3, 0], [0, 2, 0]])
+    assert _product_is(left, right, expected) is holds
+
+
+def test_h1_of_a_cone_builds_only_w_and_four_transforms(monkeypatch):
+    """One H1 of the K2 x S1 cone constructs five `IntegerMatrix` objects:
+    w and the four transforms of its Smith normal form.  The check
+    d1 * d2 = 0 and the certificate products build none."""
+    entry = next(e for e in reference_table() if e.name == "K2 x S1")
+    d2, d1 = cone_subdivide(entry.gluing.to_spec()).chain_complex()
+    built = []
+    validate = IntegerMatrix.__post_init__
+
+    def counting(self):
+        built.append((self.rows, self.cols))
+        validate(self)
+
+    monkeypatch.setattr(IntegerMatrix, "__post_init__", counting)
+    h1_of_chain_complex(d2, d1)
+    assert len(built) == 5, built

@@ -98,6 +98,29 @@ def test_corrupted_gluing_tables_are_rejected(raw_manifold_gluings, data, corrup
         Triangulation(table)
 
 
+@pytest.mark.parametrize("case", ["bool in perm", "bool target", "float in perm", "list perms"])
+def test_gluing_entries_need_exact_int_types(case):
+    """An entry that holds a bool or a float where an int belongs, or a list
+    for a perm, is rejected by name.  Bools and floats compare and hash like
+    ints, so only a type check tells them apart."""
+    table = [list(faces) for faces in assemble_triangulation(parse_gluing_text(T3)).gluings]
+    Triangulation(table)
+    (t2, f2), p = table[0][1]
+    assert t2 == 1 and 1 in p and 0 in p
+    if case == "bool in perm":
+        table[0][1] = ((t2, f2), tuple(True if x == 1 else x for x in p))
+    elif case == "bool target":
+        table[0][1] = ((True, f2), p)
+    elif case == "float in perm":
+        table[0][1] = ((t2, f2), tuple(0.0 if x == 0 else x for x in p))
+    else:
+        table[0][1] = ((t2, f2), list(p))
+        table[t2][f2] = (table[t2][f2][0], list(table[t2][f2][1]))
+    message = "gluing target" if case == "bool target" else "bad vertex bijection"
+    with pytest.raises(ValueError, match=f"{message} .* at 0:1"):
+        Triangulation(table)
+
+
 def test_perm_helpers():
     assert perm_inverse((2, 0, 1, 3)) == (1, 2, 0, 3)
     assert perm_sign((0, 1, 2, 3)) == 1
