@@ -117,7 +117,11 @@ class Triangulation:
             for f, entry in enumerate(faces):
                 if entry is None:
                     raise ValueError(f"face {t}:{f} is unglued")
-                (t2, f2), p = entry
+                try:
+                    (t2, f2), p = entry
+                except (TypeError, ValueError):
+                    raise ValueError(f"gluing entry {entry!r} at {t}:{f} is not "
+                                     f"((tet, face), perm)") from None
                 if type(t2) is not int or type(f2) is not int or not (0 <= t2 < n and 0 <= f2 < 4):
                     raise ValueError(f"gluing target {(t2, f2)!r} at {t}:{f} is not a face in range")
                 # a bool or a float equals an int and hashes like it, so the
@@ -130,7 +134,11 @@ class Triangulation:
                 if t2 == t and f2 == f:
                     raise ValueError(f"face {t}:{f} glued to itself")
                 back = gluings[t2][f2]
-                if back is None or back[0] != (t, f) or back[1] != row[2]:
+                try:
+                    matched = back[0] == (t, f) and back[1] == row[2]
+                except (TypeError, IndexError):  # unglued or malformed: not matched
+                    matched = False
+                if not matched:
                     raise ValueError(f"gluing at {t}:{f} is not a matched involution")
 
     @property

@@ -25,23 +25,32 @@ def pytest_runtest_protocol(item, nextitem):
     suite hang: a real-time interval timer, armed for the set-up, call and
     teardown of each test, raises in the running code.  It wraps the whole
     protocol rather than sitting in an autouse fixture, because a module-
-    or session-scoped fixture is set up before any function-scoped one,
-    where such a fixture's timer would not yet run."""
+    or session-scoped fixture is set up before any function-scoped one.
+
+    After the limit the timer fires every 0.1 s until the raise reaches
+    pytest, because a callback that ignores exceptions (such as a
+    garbage-collector callback) can swallow one raise, and pytest cannot
+    show a traceback entry without a line number."""
     def expire(signum, frame):
-        if frame is not None and frame.f_lineno is None:
-            # pytest cannot show a traceback entry without a line number,
-            # so raise a moment later, at an instruction that has one
-            signal.setitimer(signal.ITIMER_REAL, 0.01)
-            return
-        raise TimeLimitExceeded(f"{item.nodeid} ran past {TEST_TIME_LIMIT_S} s")
+        if frame is None or frame.f_lineno is not None:
+            raise TimeLimitExceeded(f"{item.nodeid} ran past {TEST_TIME_LIMIT_S} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S, 0.1)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Stop the timer once the time limit has reached pytest, before it
+    writes the report."""
+    if call.excinfo is not None and call.excinfo.errisinstance(TimeLimitExceeded):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    yield
 
 
 @pytest.fixture(scope="session")

@@ -98,11 +98,19 @@ def test_corrupted_gluing_tables_are_rejected(raw_manifold_gluings, data, corrup
         Triangulation(table)
 
 
-@pytest.mark.parametrize("case", ["bool in perm", "bool target", "float in perm", "list perms"])
-def test_gluing_entries_need_exact_int_types(case):
-    """An entry that holds a bool or a float where an int belongs, or a list
-    for a perm, is rejected by name.  Bools and floats compare and hash like
-    ints, so only a type check tells them apart."""
+@pytest.mark.parametrize("case, message", [
+    ("bool in perm", "bad vertex bijection .* at 0:1"),
+    ("bool target", "gluing target .* at 0:1"),
+    ("float in perm", "bad vertex bijection .* at 0:1"),
+    ("list perms", "bad vertex bijection .* at 0:1"),
+    ("not a pair", "gluing entry .* at 0:1"),
+    ("partner not a pair", "gluing at 0:1 is not a matched involution"),
+])
+def test_gluing_entries_need_exact_int_types(case, message):
+    """An entry that holds a bool or a float where an int belongs, a list
+    for a perm, or no ((tet, face), perm) pair at all is rejected by name.
+    Bools and floats compare and hash like ints, so only a type check tells
+    them apart."""
     table = [list(faces) for faces in assemble_triangulation(parse_gluing_text(T3)).gluings]
     Triangulation(table)
     (t2, f2), p = table[0][1]
@@ -113,11 +121,14 @@ def test_gluing_entries_need_exact_int_types(case):
         table[0][1] = ((True, f2), p)
     elif case == "float in perm":
         table[0][1] = ((t2, f2), tuple(0.0 if x == 0 else x for x in p))
-    else:
+    elif case == "list perms":
         table[0][1] = ((t2, f2), list(p))
         table[t2][f2] = (table[t2][f2][0], list(table[t2][f2][1]))
-    message = "gluing target" if case == "bool target" else "bad vertex bijection"
-    with pytest.raises(ValueError, match=f"{message} .* at 0:1"):
+    elif case == "not a pair":
+        table[0][1] = (t2, p)
+    else:
+        table[t2][f2] = 5
+    with pytest.raises(ValueError, match=message):
         Triangulation(table)
 
 
