@@ -134,10 +134,8 @@ def _product_rows(left: IntegerMatrix, right: IntegerMatrix):
 def _product_is(left: IntegerMatrix, right: IntegerMatrix, expected) -> bool:
     """Whether left * right has the sparse rows `expected`, checked row by
     row against `_product_rows`, so no product matrix is built.  Raises
-    ValueError when the inner shapes differ or `expected` does not hold
-    left.rows rows."""
-    if left.cols != right.rows:
-        raise ValueError("shape mismatch")
+    ValueError when `expected` does not hold left.rows rows or, from
+    `_product_rows`, when the inner shapes differ."""
     if len(expected) != left.rows:
         raise ValueError(f"expected {len(expected)} rows of a product with {left.rows}")
     for acc, row in zip(_product_rows(left, right), expected):
