@@ -29,9 +29,10 @@ def pytest_runtest_protocol(item, nextitem):
 
     After the limit the timer fires every 0.1 s until the raise reaches
     pytest, because a callback that ignores exceptions (such as a
-    garbage-collector callback) can swallow one raise, and pytest cannot
-    show a traceback entry without a line number."""
+    garbage-collector callback) can swallow one raise."""
     def expire(signum, frame):
+        # in a frame without a line number pytest cannot format the
+        # traceback, so leave the raise to the next tick
         if frame is None or frame.f_lineno is not None:
             raise TimeLimitExceeded(f"{item.nodeid} ran past {TEST_TIME_LIMIT_S} s")
 
