@@ -92,10 +92,18 @@ class IntegerMatrix:
     @staticmethod
     def from_columns(rows: int, columns: list[dict[int, int]]) -> "IntegerMatrix":
         """The rows x len(columns) matrix whose column j holds the entries
-        {row: value} of columns[j]; zero values are dropped, and a row that
-        is not an int in range(rows) raises ValueError."""
+        {row: value} of columns[j]; zero values are dropped.  A row count
+        that is not a non-negative int, columns that are not a list or tuple
+        of dicts, and a row that is not an int in range(rows) raise
+        ValueError."""
+        if type(rows) is not int or rows < 0:
+            raise ValueError(f"rows {rows!r} is not a non-negative int")
+        if type(columns) is not list and type(columns) is not tuple:
+            raise ValueError(f"columns {columns!r} is not a list or tuple of dicts")
         terms: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
         for j, column in enumerate(columns):
+            if type(column) is not dict:
+                raise ValueError(f"column {j} of columns is {column!r}, not a dict")
             for i, x in column.items():
                 if type(i) is not int or not 0 <= i < rows:
                     raise ValueError(f"row {i!r} of column {j} is not in range({rows})")

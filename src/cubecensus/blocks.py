@@ -20,8 +20,10 @@ face of each bad pair, for up to two bad pairs, and the three faces at an
 odd-parity corner for three.  The first repaired pattern that matches every
 pair and is a rigid-symmetry image of a reference block is looked up in one
 table of block images, which names the block and the first symmetry
-carrying it there; the block is instantiated through that symmetry and
-glued up.
+carrying it there.  Each (block, symmetry) is instantiated once per
+process, on first use (`_block_instance`): its tetrahedra, its internal
+gluings and its boundary triangles per cube face.  Gluing up a gluing then
+copies the internal gluings and adds the six boundary ones.
 
 The tables below are frozen transcriptions with corner ids 4x + 2y + z;
 their valence profiles are pinned by golden tests.
@@ -266,41 +268,65 @@ def glue_block(g: CubeGluing, choice: BlockChoice) -> Triangulation:
     """The block of `choice`, instantiated through its symmetry, with its
     boundary triangles glued according to g.  No manifold check: the
     caller has tested g, and `choice` is `select_block(g)`.  A choice whose
-    pattern some pair of g does not match raises AssertionError."""
-    cs = choice.symmetry
-    tets = [tuple(sorted(cs.apply_corner(c) for c in tet))
-            for tet in _BLOCK_TETS[choice.kind]]
-    gl: list[list] = [[None] * 4 for _ in tets]
+    pattern some pair of g does not match raises AssertionError.
 
-    def glue(t1, f1, t2, f2, corner_map):
-        p1 = [None] * 4
-        for c_src, c_dst in corner_map.items():
-            p1[tets[t1].index(c_src)] = tets[t2].index(c_dst)
-        p1[f1] = f2
-        gl[t1][f1] = ((t2, f2), tuple(p1))
-        gl[t2][f2] = ((t1, f1), perm_inverse(p1))
+    The instantiated block comes from `_block_instance`; only the six
+    boundary gluings are made here.  Each boundary triangle of face_a is
+    carried by the pair's corner map onto the triangle of face_b that
+    misses the image of the corner it misses.  When the pattern does not
+    match the pair, that image is an end of face_b's diagonal, which both
+    triangles of face_b hold."""
+    tets, rows, boundary = _block_instance(choice.kind, choice.symmetry.corner_perm)
+    gl = [list(row) for row in rows]
+    for pair in g.pairs:
+        cmap = pair.corner_map()
+        on_b = boundary[pair.face_b.index]
+        for missed, held_a in boundary[pair.face_a.index].items():
+            held_b = on_b.get(cmap[missed])
+            if held_b is None:
+                raise AssertionError(f"boundary triangle of {pair.face_a} missing corner {missed} "
+                                     f"maps onto the diagonal of {pair.face_b}")
+            _glue(gl, tets, held_a, held_b, cmap)
+    return Triangulation(gl)
 
-    # the (tet, slot) pairs holding each corner triple: a triple held twice
-    # is an internal gluing, one held once a boundary triangle
+
+def _glue(gl: list[list], tets: tuple[tuple[int, ...], ...], a: tuple[int, int],
+          b: tuple[int, int], image) -> None:
+    """Glue face a = (tet, slot) to face b, each corner c of a's triangle
+    to corner image[c]; a tetrahedron's slot i holds its i-th corner."""
+    (t1, f1), (t2, f2) = a, b
+    p1 = [f2] * 4
+    for slot, c in enumerate(tets[t1]):
+        if slot != f1:
+            p1[slot] = tets[t2].index(image[c])
+    gl[t1][f1] = (b, tuple(p1))
+    gl[t2][f2] = (a, perm_inverse(p1))
+
+
+@functools.cache
+def _block_instance(kind: BlockKind, corner_perm: tuple[int, ...]):
+    """The block `kind` carried by the cube symmetry with this corner
+    permutation, built on first use.  Returns its tetrahedra (corner ids in
+    increasing order, so slot i is the i-th smallest corner), the rows of
+    its internal gluings with None on every boundary face, and per face
+    index the face's two boundary triangles as {the face corner the
+    triangle misses: (tet, slot)}.
+
+    A corner triple held by two tetrahedra is an internal triangle, glued
+    corner to corner; one held once is a boundary triangle."""
+    tets = tuple(tuple(sorted(corner_perm[c] for c in tet)) for tet in _BLOCK_TETS[kind])
     owners: dict[frozenset[int], list[tuple[int, int]]] = {}
     for t, tet in enumerate(tets):
         for slot, corner in enumerate(tet):
             owners.setdefault(frozenset(tet) - {corner}, []).append((t, slot))
+    rows: list[list] = [[None] * 4 for _ in tets]
+    boundary: list[dict[int, tuple[int, int]]] = [{} for _ in FACES]
     for triangle, held in owners.items():
         if len(held) == 2:
-            (t1, f1), (t2, f2) = held
-            glue(t1, f1, t2, f2, {c: c for c in triangle})
-
-    # boundary gluings: a triangle held once on face_a goes to the triangle
-    # its corners map to, held once too when the pattern matches the pair
-    for pair in g.pairs:
-        cmap = pair.corner_map()
-        for tri_a, held_a in owners.items():
-            if len(held_a) == 1 and tri_a.issubset(cmap):
-                held_b = owners.get(frozenset(map(cmap.get, tri_a)), [])
-                if len(held_b) != 1:
-                    raise AssertionError(f"boundary triangle {set(tri_a)} maps to one owned by {held_b}")
-                (t1, f1), (t2, f2) = held_a + held_b
-                glue(t1, f1, t2, f2, {c: cmap[c] for c in tri_a})
-
-    return Triangulation(gl)
+            _glue(rows, tets, *held, range(8))
+        else:
+            (held_once,) = held
+            face = next(f for f in FACES if triangle < set(CHARTS[f]))
+            (missed,) = set(CHARTS[face]) - triangle
+            boundary[face.index][missed] = held_once
+    return tets, tuple(map(tuple, rows)), tuple(boundary)

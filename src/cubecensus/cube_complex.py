@@ -157,6 +157,15 @@ class GluingPair:
     face_b: Face
     sym: SquareSymmetry
 
+    def __post_init__(self):
+        if type(self.face_a) is not Face or type(self.face_b) is not Face:
+            raise ValueError(f"face_a {self.face_a!r} and face_b {self.face_b!r} must be Faces")
+        if type(self.sym) is not SquareSymmetry:
+            raise ValueError(f"sym {self.sym!r} is not a SquareSymmetry")
+        if self.face_a == self.face_b:
+            raise ValueError(f"face_a and face_b are both {self.face_a}: "
+                             "a face cannot be glued to itself")
+
     def index_map(self) -> tuple[int, int, int, int]:
         return gluing_index_map(self.sym)
 
@@ -186,8 +195,13 @@ class CubeGluing:
     pairs: tuple[GluingPair, GluingPair, GluingPair]
 
     def __post_init__(self):
-        faces = [f for p in self.pairs for f in (p.face_a, p.face_b)]
-        if len({f.index for f in faces}) != 6:
+        pairs = self.pairs
+        if not (type(pairs) is tuple and len(pairs) == 3
+                and type(pairs[0]) is type(pairs[1]) is type(pairs[2]) is GluingPair):
+            raise ValueError(f"pairs {pairs!r} is not a tuple of three GluingPairs")
+        p, q, r = pairs
+        if len({p.face_a.index, p.face_b.index, q.face_a.index, q.face_b.index,
+                r.face_a.index, r.face_b.index}) != 6:
             raise ValueError("gluing must use each face exactly once")
 
     @staticmethod
@@ -221,11 +235,22 @@ class CubulationSpec:
     pairs: tuple[tuple[int, int, GluingPair], ...]
 
     def __post_init__(self):
-        slots = [s for ca, cb, p in self.pairs for s in ((ca, p.face_a), (cb, p.face_b))]
+        n, entries = self.cube_count, self.pairs
+        if type(n) is not int:
+            raise ValueError(f"cube_count {n!r} is not an int")
+        if type(entries) is not tuple:
+            raise ValueError(f"pairs {entries!r} is not a tuple")
+        for entry in entries:
+            # a bool equals an int and hashes like it, so types are checked
+            if not (type(entry) is tuple and len(entry) == 3
+                    and type(entry[0]) is type(entry[1]) is int and type(entry[2]) is GluingPair):
+                raise ValueError(f"entry {entry!r} of pairs is not (int cube_a, int cube_b, "
+                                 f"GluingPair)")
+        slots = [s for ca, cb, p in entries for s in ((ca, p.face_a), (cb, p.face_b))]
         keys = {(c, f.index) for c, f in slots}
-        if len(self.pairs) != 3 * self.cube_count or len(keys) != 6 * self.cube_count:
+        if len(entries) != 3 * n or len(keys) != 6 * n:
             raise ValueError("every (cube, face) slot must appear exactly once")
-        if any(not (0 <= c < self.cube_count) for c, _ in slots):
+        if any(not (0 <= c < n) for c, _ in slots):
             raise ValueError("cube index out of range")
 
 
@@ -480,16 +505,23 @@ _CONE_INTERNAL, _CONE_BOUNDARY = _one_cone()
 
 @dataclass(frozen=True)
 class ManifoldCheck:
-    """Verdict of `is_closed_manifold`.  A passing check carries the
-    quotient, so that callers read homology from it instead of building it
-    again; a failed check carries none and names its first failing point."""
+    """Verdict of `is_closed_manifold`.  A passing check keeps the spec and
+    the class roots it read, and builds the quotient from them when
+    `quotient` is first read, so that callers read homology from it instead
+    of building it again; a failed check carries none and names its first
+    failing point."""
 
     ok: bool
     diagnostic: str
-    quotient: QuotientComplex | None = field(default=None, compare=False, repr=False)
+    roots: tuple[CubulationSpec, list[int], list[int]] | None = field(
+        default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @functools.cached_property
+    def quotient(self) -> QuotientComplex | None:
+        return None if self.roots is None else _quotient_from_roots(*self.roots)
 
 
 # One cube's 27 cone-subdivision points (corners, edge midpoints, square and
@@ -516,11 +548,11 @@ def is_closed_manifold(spec: CubulationSpec) -> ManifoldCheck:
       8C triangles, so 2 chi(M) = sum over corner orbits of (2 - chi(link)).
     * No term is negative, so every link is a sphere iff chi(M) = 0.
 
-    Only a passing check builds the quotient, from the same roots, and
-    carries it.  A failing check walks the cone order cube by cube (cube
-    c's keys fill [192c, 192c + 192)), numbers each orbit when it first
-    meets it and names the first point whose link is not a sphere, as the
-    cone subdivision, this test's independent oracle, would.  A reversed
+    A passing check keeps the same roots and builds the quotient from them
+    when it is first read.  A failing check walks the cone order cube by
+    cube (cube c's keys fill [192c, 192c + 192)), numbers each orbit when it
+    first meets it and names the first point whose link is not a sphere, as
+    the cone subdivision, this test's independent oracle, would.  A reversed
     orbit's midpoint has link RP^2 (Euler characteristic 1); a corner link
     has vertices minus half its triangles.
     """
@@ -531,8 +563,7 @@ def is_closed_manifold(spec: CubulationSpec) -> ManifoldCheck:
     # with no edge orbit reversed, the directed-edge roots number 2E
     if (all(e_root[fwd] != e_root[bwd] for *_, fwd, bwd in edges)
             and 2 * len(set(v_root)) + 4 * nc == len({e_root[k] for e in edges for k in e[2:]})):
-        return ManifoldCheck(True, "all vertex links are 2-spheres",
-                             _quotient_from_roots(spec, v_root, e_root))
+        return ManifoldCheck(True, "all vertex links are 2-spheres", (spec, v_root, e_root))
     leaving: dict[int, set[int]] = {root: set() for root in v_root}
     for u, v, fwd, bwd in edges:
         leaving[v_root[u]].add(e_root[fwd])

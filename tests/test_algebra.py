@@ -484,6 +484,15 @@ def test_from_columns_rejects_a_row_outside_the_matrix(column):
         IntegerMatrix.from_columns(2, [{0: 1}, column])
 
 
+@pytest.mark.parametrize("rows, columns, argument", [
+    ("2", [{0: 1}], "rows"), (2.0, [{0: 1}], "rows"), (True, [{0: 1}], "rows"),
+    (2, [[1]], "column 0"), (2, [{0: 1}, ((0, 1),)], "column 1"), (2, None, "columns"),
+], ids=["str-rows", "float-rows", "bool-rows", "list-column", "tuple-column", "no-columns"])
+def test_from_columns_rejects_a_malformed_argument_by_name(rows, columns, argument):
+    with pytest.raises(ValueError, match=argument):
+        IntegerMatrix.from_columns(rows, columns)
+
+
 def test_equal_matrices_compare_and_hash_equal():
     rows = [[0, 3, 0], [0, 0, 0], [-1, 0, 2]]
     a, b = from_rows(rows), IntegerMatrix(3, 3, (((1, 3),), (), ((0, -1), (2, 2))))

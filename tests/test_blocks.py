@@ -11,6 +11,7 @@ from cubecensus.blocks import (
     _BLOCK_TETS,
     _apply_symmetry_to_pattern,
     _block_images,
+    _block_instance,
     FIVE_TET_PATTERN,
     BlockKind,
     DiagonalPattern,
@@ -287,3 +288,30 @@ def test_block_choice_of_every_raw_gluing_is_pinned():
         digest.update(f"{g} | {c.kind.value} | {[sorted(d) for d in c.pattern.diagonals]} | "
                       f"{c.symmetry.corner_perm} | {c.mismatch_count}\n".encode())
     assert digest.hexdigest() == "4668bbe85b3a93e1bd2afba67040ebed6ceb298e288204869ad5e2aee39a0ce2"
+
+
+def test_block_gluing_table_of_every_raw_manifold_gluing_is_pinned(raw_manifold_gluings, monkeypatch):
+    # the gluing table of all 625 raw manifold gluings in enumeration
+    # order; the digest was computed with a `glue_block` that built its
+    # block and every triangle key on each call.  The manifold guard of
+    # each assembly builds no quotient
+    from cubecensus import cube_complex
+
+    builds = []
+    monkeypatch.setattr(cube_complex, "_quotient_from_roots", lambda *args: builds.append(args))
+    digest = hashlib.sha256()
+    for g in raw_manifold_gluings:
+        digest.update(f"{g} | {assemble_triangulation(g).gluings!r}\n".encode())
+    assert len(raw_manifold_gluings) == 625
+    assert digest.hexdigest() == "6a7bcb3bdbf6a81fa207d932277cd1a3f9051a4934dc6dacdb9c99a32cf4cf57"
+    assert builds == []
+
+
+def test_each_block_image_is_instantiated_once(raw_manifold_gluings):
+    # one instance per (kind, symmetry) that the table of block images
+    # names: the 625 gluings use 19 of its 42 keys
+    _block_instance.cache_clear()
+    for g in raw_manifold_gluings:
+        assemble_triangulation(g)
+    used = {(c.kind, c.symmetry) for c in map(select_block, raw_manifold_gluings)}
+    assert _block_instance.cache_info().currsize == len(used) == 19 <= len(_block_images())

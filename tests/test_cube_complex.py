@@ -389,6 +389,39 @@ def test_cubulation_spec_rejects_bad_slots():
             CubulationSpec(cube_count, entries)
 
 
+def _t3_entries():
+    return tuple((0, 0, p) for p in parse_gluing_text(T3).pairs)
+
+
+def _with_first_entry(entry):
+    return (entry,) + _t3_entries()[1:]
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: CubulationSpec(1.0, _t3_entries()), "cube_count", id="float-cube-count"),
+    pytest.param(lambda: CubulationSpec(1, list(_t3_entries())), "pairs", id="list-of-entries"),
+    pytest.param(lambda: CubulationSpec(1, _with_first_entry((0, 0, "x"))), "entry",
+                 id="str-pair"),
+    pytest.param(lambda: CubulationSpec(1, _with_first_entry((0, 0))), "entry", id="short-entry"),
+    pytest.param(lambda: CubulationSpec(1, _with_first_entry((0, True, _t3_entries()[0][2]))),
+                 "entry", id="bool-cube-index"),
+    pytest.param(lambda: CubulationSpec(2, tuple(
+        (True if (c, d) == (1, 1) else c, d, p)
+        for c, d, p in double_cover(CubulationSpec(1, _t3_entries())).pairs)),
+        "entry", id="bool-cube-index-in-range"),
+    pytest.param(lambda: GluingPair(Face(0, 1), Face(0, -1), "r0"), "sym", id="str-sym"),
+    pytest.param(lambda: GluingPair("+x", Face(0, -1), SquareSymmetry(0, False)), "face_a",
+                 id="str-face"),
+    pytest.param(lambda: GluingPair(Face(0, 1), Face(0, 1), SquareSymmetry(0, False)),
+                 "face_a and face_b", id="face-glued-to-itself"),
+    pytest.param(lambda: CubeGluing(list(parse_gluing_text(T3).pairs)), "pairs", id="list-of-pairs"),
+    pytest.param(lambda: CubeGluing(parse_gluing_text(T3).pairs[:2]), "pairs", id="two-pairs"),
+])
+def test_gluing_types_reject_malformed_fields_by_name(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 # -- manifold recognition -----------------------------------------------------------
 
 
@@ -517,6 +550,27 @@ def test_only_a_passing_check_carries_the_quotient():
         else:
             assert check.quotient is None
     assert passed == 625 + 255 + 1008 - 915
+
+
+def test_a_passing_check_builds_its_quotient_when_it_is_first_read(monkeypatch):
+    from cubecensus import cube_complex
+
+    builds = []
+    from_roots = cube_complex._quotient_from_roots
+
+    def build(spec, v_root, e_root):
+        builds.append(spec)
+        return from_roots(spec, v_root, e_root)
+
+    monkeypatch.setattr(cube_complex, "_quotient_from_roots", build)
+    spec = parse_gluing_text(T3).to_spec()
+    check = is_closed_manifold(spec)
+    assert check.ok and builds == []
+    quotient = check.quotient
+    assert builds == [spec]
+    assert check.quotient is quotient and builds == [spec]
+    failing = is_closed_manifold(parse_gluing_text("+x -x r0m / +y -y r0m / +z -z r0m").to_spec())
+    assert not failing.ok and failing.quotient is None and builds == [spec]
 
 
 def test_twice_euler_sums_the_link_defects_of_the_cone():
