@@ -44,6 +44,7 @@ from .cube_complex import (
     CubeGluing,
     Face,
     GluingPair,
+    QuotientComplex,
     gluing_index_map,
     is_closed_manifold,
 )
@@ -149,17 +150,18 @@ def reference_pattern(kind: BlockKind) -> DiagonalPattern:
     return _BLOCK_PATTERNS[kind]
 
 
+def _edge_counts(tets) -> collections.Counter:
+    """Corner pair (a frozenset) -> the number of tetrahedra holding it."""
+    return collections.Counter(frozenset(e) for tet in tets for e in itertools.combinations(tet, 2))
+
+
 def block_valences(kind: BlockKind) -> tuple[int | None, tuple[int, ...]]:
     """(internal edge valence, sorted diagonal valences) of the raw block."""
-    tets = _BLOCK_TETS[kind]
+    counts = _edge_counts(_BLOCK_TETS[kind])
     internal = _BLOCK_INTERNAL_EDGE[kind]
-
-    def valence(edge: frozenset[int]) -> int:
-        return sum(1 for tet in tets if edge <= tet)
-
     diag_valences = tuple(sorted(
-        valence(_BLOCK_PATTERNS[kind].corner_diagonal(f)) for f in FACES))
-    return (valence(internal) if internal is not None else None, diag_valences)
+        counts[_BLOCK_PATTERNS[kind].corner_diagonal(f)] for f in FACES))
+    return (counts[internal] if internal is not None else None, diag_valences)
 
 
 # -- mismatch analysis --------------------------------------------------------
@@ -301,6 +303,25 @@ def _glue(gl: list[list], tets: tuple[tuple[int, ...], ...], a: tuple[int, int],
             p1[slot] = tets[t2].index(image[c])
     gl[t1][f1] = (b, tuple(p1))
     gl[t2][f2] = (a, perm_inverse(p1))
+
+
+def gluing_valences(g: CubeGluing, choice: BlockChoice, q: QuotientComplex) -> tuple[int, ...]:
+    """The sorted edge valences of `glue_block(g, choice)`, unglued: each
+    corner pair of the block adds its tetrahedron count to its edge class,
+    a cube edge's undirected orbit in q, the quotient of `g.to_spec()`, one
+    negative key per pair for its two diagonals, or an internal edge alone."""
+    tets = _block_instance(choice.kind, choice.symmetry.corner_perm)[0]
+    diagonal_class = {choice.pattern.corner_diagonal(f): -1 - i
+                      for i, pair in enumerate(g.pairs) for f in (pair.face_a, pair.face_b)}
+    classes = collections.Counter()
+    for edge, n in _edge_counts(tets).items():
+        u, v = edge
+        if u ^ v in (1, 2, 4):
+            key = min(q.edge_root[8 * u + v], q.edge_root[8 * v + u])
+        else:
+            key = diagonal_class.get(edge, edge)
+        classes[key] += n
+    return tuple(sorted(classes.values()))
 
 
 @functools.cache

@@ -1,7 +1,7 @@
 """The classification pipeline over all one-cube gluings.
 
 For every symmetry class of gluings the pipeline decides manifoldness,
-selects and assembles a block triangulation, computes an invariant
+selects a block triangulation without gluing it, computes an invariant
 fingerprint (orientability, integral H1, H1 over Z/2 and Z/3, and for
 non-orientable manifolds the H1 of the orientation double cover), and
 matches non-orientable classes against the four flat reference manifolds.
@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .algebra import AbelianInvariants, h1_of_chain_complex, mod_p_dimension
-from .blocks import BlockKind, glue_block, select_block
+from .blocks import BlockKind, gluing_valences, select_block
 from .cube_complex import (
     CubeGluing,
     QuotientComplex,
@@ -206,7 +206,8 @@ def _str_or_none(value) -> str | None:
 
 def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None) -> ClassReport:
     """Report row for one gluing, identified by its symmetry class `canon`
-    (computed from the gluing when not given)."""
+    (computed from the gluing when not given).  No triangulation is glued:
+    `tetCount` is the block kind's and `valences` come from the quotient."""
     if canon is None:
         canon = canonical_form(gluing)
     choice = select_block(gluing)
@@ -214,7 +215,6 @@ def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None) -> ClassR
     if not check.ok:
         return ClassReport(canon.class_id, canon.orbit_size, False, check.diagnostic,
                            choice.mismatch_count, choice.kind.value)
-    tri = glue_block(gluing, choice)
     fp, cover = _fingerprint(check.quotient)
     matches = [e.name for e in reference_table() if e.expected_fingerprint == fp]
     cover_orient = cover_euler = None
@@ -224,8 +224,8 @@ def classify(gluing: CubeGluing, canon: CanonicalGluing | None = None) -> ClassR
     return ClassReport(
         canon.class_id, canon.orbit_size, True, check.diagnostic,
         choice.mismatch_count, choice.kind.value,
-        tet_count=tri.tet_count,
-        valences=tuple(sorted(o.valence for o in tri.edge_orbits)),
+        tet_count=choice.kind.tet_count,
+        valences=gluing_valences(gluing, choice, check.quotient),
         orientable=fp.orientable,
         h1=fp.h1,
         h1_mod2=fp.h1_mod2,

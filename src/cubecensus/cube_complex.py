@@ -162,9 +162,6 @@ class GluingPair:
             raise ValueError(f"face_a {self.face_a!r} and face_b {self.face_b!r} must be Faces")
         if type(self.sym) is not SquareSymmetry:
             raise ValueError(f"sym {self.sym!r} is not a SquareSymmetry")
-        if self.face_a == self.face_b:
-            raise ValueError(f"face_a and face_b are both {self.face_a}: "
-                             "a face cannot be glued to itself")
 
     def index_map(self) -> tuple[int, int, int, int]:
         return gluing_index_map(self.sym)
@@ -227,17 +224,18 @@ class CubeGluing:
 
 @dataclass(frozen=True)
 class CubulationSpec:
-    """A finite collection of cubes with all faces glued in pairs.  Each
-    entry `(cube_a, cube_b, pair)` glues face `pair.face_a` of cube `cube_a`
-    to face `pair.face_b` of cube `cube_b` by `pair.sym`."""
+    """A nonempty finite collection of cubes with all faces glued in pairs.
+    Each entry `(cube_a, cube_b, pair)` glues face `pair.face_a` of cube
+    `cube_a` to face `pair.face_b` of cube `cube_b` by `pair.sym`; the two
+    faces may be the same face of two cubes."""
 
     cube_count: int
     pairs: tuple[tuple[int, int, GluingPair], ...]
 
     def __post_init__(self):
         n, entries = self.cube_count, self.pairs
-        if type(n) is not int:
-            raise ValueError(f"cube_count {n!r} is not an int")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"cube_count {n!r} is not a positive int")
         if type(entries) is not tuple:
             raise ValueError(f"pairs {entries!r} is not a tuple")
         for entry in entries:

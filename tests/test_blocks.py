@@ -18,6 +18,7 @@ from cubecensus.blocks import (
     assemble_triangulation,
     block_valences,
     glue_block,
+    gluing_valences,
     mismatch_report,
     pair_matches_pattern,
     reference_pattern,
@@ -259,6 +260,23 @@ def test_assembled_internal_edge_keeps_its_block_valence(raw_manifold_gluings):
         assert orbit.valence == block_valences(choice.kind)[0], str(g)
         checked += 1
     assert checked
+
+
+def test_gluing_valences_are_those_of_the_glued_block(raw_manifold_gluings):
+    # read from the quotient's edge classes without gluing, against the
+    # edge orbits of the glued block.  Diagonal classes keyed 0-2 would
+    # merge with cube edge orbits 1 and 2 and give the first gluing
+    # (1, 1, 4, 6, 6, 18)
+    g = parse_gluing_text("+x +y r0 / -x +z r0 / -y -z r0")
+    check = is_closed_manifold(g.to_spec())
+    assert gluing_valences(g, select_block(g), check.quotient) == (1, 1, 4, 4, 6, 6, 14)
+    for g in raw_manifold_gluings:
+        check = is_closed_manifold(g.to_spec())
+        choice = select_block(g)
+        tri = glue_block(g, choice)
+        assert (choice.kind.tet_count, gluing_valences(g, choice, check.quotient)) \
+            == (tri.tet_count, tuple(sorted(o.valence for o in tri.edge_orbits))), str(g)
+    assert len(raw_manifold_gluings) == 625
 
 
 def test_glue_block_rejects_exactly_the_choices_whose_pattern_mismatches(raw_manifold_gluings):

@@ -13,6 +13,7 @@ from cubecensus.algebra import (
     h1_with_coefficients,
     mod_p_dimension,
 )
+from cubecensus.blocks import assemble_triangulation
 from cubecensus.census import (
     Fingerprint,
     classify,
@@ -168,6 +169,28 @@ def test_census_lifts_one_cover_per_nonorientable_class(monkeypatch):
     assert report.summary.nonmanifold_classes == 38
     assert set(class_quotients) == manifolds
     assert set(class_quotients.values()) == {1}
+
+
+def test_census_builds_no_triangulation(monkeypatch):
+    """A record's tetCount and valences come from the block choice and
+    the quotient, so neither `classify` nor the census glues a block."""
+    from cubecensus.triangulation import Triangulation
+
+    built = []
+    init = Triangulation.__init__
+
+    def counting(self, gluings):
+        built.append(gluings)
+        init(self, gluings)
+
+    monkeypatch.setattr(Triangulation, "__init__", counting)
+    assert not hasattr(census, "glue_block")
+    row = classify(parse_gluing_text(T3))
+    assert row.manifold and (row.tet_count, row.valences) == (6, (4, 4, 4, 6, 6, 6, 6))
+    assert run_census(False).summary.manifold_classes == 56
+    assert built == []
+    assemble_triangulation(parse_gluing_text(T3))  # the counter sees a gluing
+    assert len(built) == 1
 
 
 def test_census_rows_are_canonical_and_unique(full_census):

@@ -397,6 +397,11 @@ def _with_first_entry(entry):
     return (entry,) + _t3_entries()[1:]
 
 
+def _self_glued():
+    # a legal pair on its own: +x of one cube glued to +x of another
+    return GluingPair(Face(0, 1), Face(0, 1), SquareSymmetry(0, False))
+
+
 @pytest.mark.parametrize("build, field", [
     pytest.param(lambda: CubulationSpec(1.0, _t3_entries()), "cube_count", id="float-cube-count"),
     pytest.param(lambda: CubulationSpec(1, list(_t3_entries())), "pairs", id="list-of-entries"),
@@ -412,14 +417,30 @@ def _with_first_entry(entry):
     pytest.param(lambda: GluingPair(Face(0, 1), Face(0, -1), "r0"), "sym", id="str-sym"),
     pytest.param(lambda: GluingPair("+x", Face(0, -1), SquareSymmetry(0, False)), "face_a",
                  id="str-face"),
-    pytest.param(lambda: GluingPair(Face(0, 1), Face(0, 1), SquareSymmetry(0, False)),
-                 "face_a and face_b", id="face-glued-to-itself"),
+    pytest.param(lambda: CubulationSpec(1, _with_first_entry((0, 0, _self_glued()))), "slot",
+                 id="face-glued-to-itself"),
+    pytest.param(lambda: CubeGluing((_self_glued(),) + parse_gluing_text(T3).pairs[1:]),
+                 "each face", id="face-glued-to-itself-in-a-gluing"),
+    pytest.param(lambda: CubulationSpec(0, ()), "cube_count", id="empty-complex"),
     pytest.param(lambda: CubeGluing(list(parse_gluing_text(T3).pairs)), "pairs", id="list-of-pairs"),
     pytest.param(lambda: CubeGluing(parse_gluing_text(T3).pairs[:2]), "pairs", id="two-pairs"),
 ])
 def test_gluing_types_reject_malformed_fields_by_name(build, field):
     with pytest.raises(ValueError, match=field):
         build()
+
+
+def test_the_double_of_the_cube_is_the_three_sphere():
+    # each face of cube 0 glued to the same face of cube 1 by r0m, whose
+    # chart map is the identity
+    sym = SquareSymmetry.from_str("r0m")
+    assert gluing_index_map(sym) == (0, 1, 2, 3)
+    spec = CubulationSpec(2, tuple((0, 1, GluingPair(f, f, sym)) for f in FACES))
+    check = is_closed_manifold(spec)
+    assert check.ok and quotient_is_orientable(spec)
+    h1_cells = h1_of_chain_complex(*quotient_chain_complex(check.quotient))
+    h1_cone = h1_of_chain_complex(*cone_subdivide(spec).chain_complex())
+    assert (h1_cells.rank, h1_cells.torsion) == (h1_cone.rank, h1_cone.torsion) == (0, ())
 
 
 # -- manifold recognition -----------------------------------------------------------
