@@ -21,9 +21,9 @@ odd-parity corner for three.  The first repaired pattern that matches every
 pair and is a rigid-symmetry image of a reference block is looked up in one
 table of block images, which names the block and the first symmetry
 carrying it there.  Each (block, symmetry) is instantiated once per
-process, on first use (`_block_instance`): its tetrahedra, its internal
-gluings and its boundary triangles per cube face.  Gluing up a gluing then
-copies the internal gluings and adds the six boundary ones.
+process, on first use (`_block_instance`), as its tetrahedra;
+`cube_complex.glue_cubes`, which also glues the cone subdivision, glues
+them up.
 
 The tables below are frozen transcriptions with corner ids 4x + 2y + z;
 their valence profiles are pinned by golden tests.
@@ -46,10 +46,11 @@ from .cube_complex import (
     GluingPair,
     QuotientComplex,
     gluing_index_map,
+    glue_cubes,
     is_closed_manifold,
 )
 from .enumeration import ALL_CUBE_SYMMETRIES, CubeSymmetry
-from .triangulation import Triangulation, perm_inverse
+from .triangulation import Triangulation
 
 
 class BlockKind(enum.Enum):
@@ -151,13 +152,13 @@ def reference_pattern(kind: BlockKind) -> DiagonalPattern:
 
 
 def _edge_counts(tets) -> collections.Counter:
-    """Corner pair (a frozenset) -> the number of tetrahedra holding it."""
-    return collections.Counter(frozenset(e) for tet in tets for e in itertools.combinations(tet, 2))
+    """Corner pair -> the number of tetrahedra holding it, for `_block_instance` tetrahedra."""
+    return collections.Counter(a | b for tet in tets for a, b in itertools.combinations(tet, 2))
 
 
 def block_valences(kind: BlockKind) -> tuple[int | None, tuple[int, ...]]:
     """(internal edge valence, sorted diagonal valences) of the raw block."""
-    counts = _edge_counts(_BLOCK_TETS[kind])
+    counts = _edge_counts(_block_instance(kind, tuple(range(8))))
     internal = _BLOCK_INTERNAL_EDGE[kind]
     diag_valences = tuple(sorted(
         counts[_BLOCK_PATTERNS[kind].corner_diagonal(f)] for f in FACES))
@@ -267,42 +268,11 @@ def assemble_triangulation(g: CubeGluing) -> Triangulation:
 
 
 def glue_block(g: CubeGluing, choice: BlockChoice) -> Triangulation:
-    """The block of `choice`, instantiated through its symmetry, with its
-    boundary triangles glued according to g.  No manifold check: the
-    caller has tested g, and `choice` is `select_block(g)`.  A choice whose
-    pattern some pair of g does not match raises AssertionError.
-
-    The instantiated block comes from `_block_instance`; only the six
-    boundary gluings are made here.  Each boundary triangle of face_a is
-    carried by the pair's corner map onto the triangle of face_b that
-    misses the image of the corner it misses.  When the pattern does not
-    match the pair, that image is an end of face_b's diagonal, which both
-    triangles of face_b hold."""
-    tets, rows, boundary = _block_instance(choice.kind, choice.symmetry.corner_perm)
-    gl = [list(row) for row in rows]
-    for pair in g.pairs:
-        cmap = pair.corner_map()
-        on_b = boundary[pair.face_b.index]
-        for missed, held_a in boundary[pair.face_a.index].items():
-            held_b = on_b.get(cmap[missed])
-            if held_b is None:
-                raise AssertionError(f"boundary triangle of {pair.face_a} missing corner {missed} "
-                                     f"maps onto the diagonal of {pair.face_b}")
-            _glue(gl, tets, held_a, held_b, cmap)
-    return Triangulation(gl)
-
-
-def _glue(gl: list[list], tets: tuple[tuple[int, ...], ...], a: tuple[int, int],
-          b: tuple[int, int], image) -> None:
-    """Glue face a = (tet, slot) to face b, each corner c of a's triangle
-    to corner image[c]; a tetrahedron's slot i holds its i-th corner."""
-    (t1, f1), (t2, f2) = a, b
-    p1 = [f2] * 4
-    for slot, c in enumerate(tets[t1]):
-        if slot != f1:
-            p1[slot] = tets[t2].index(image[c])
-    gl[t1][f1] = (b, tuple(p1))
-    gl[t2][f2] = (a, perm_inverse(p1))
+    """The block of `choice`, instantiated through its symmetry, glued up
+    according to g by `glue_cubes`.  No manifold check: the caller has
+    tested g, and `choice` is `select_block(g)`.  A choice whose pattern
+    some pair of g does not match raises AssertionError."""
+    return glue_cubes(g.to_spec(), _block_instance(choice.kind, choice.symmetry.corner_perm))
 
 
 def gluing_valences(g: CubeGluing, choice: BlockChoice, q: QuotientComplex) -> tuple[int, ...]:
@@ -310,7 +280,7 @@ def gluing_valences(g: CubeGluing, choice: BlockChoice, q: QuotientComplex) -> t
     corner pair of the block adds its tetrahedron count to its edge class,
     a cube edge's undirected orbit in q, the quotient of `g.to_spec()`, one
     negative key per pair for its two diagonals, or an internal edge alone."""
-    tets = _block_instance(choice.kind, choice.symmetry.corner_perm)[0]
+    tets = _block_instance(choice.kind, choice.symmetry.corner_perm)
     diagonal_class = {choice.pattern.corner_diagonal(f): -1 - i
                       for i, pair in enumerate(g.pairs) for f in (pair.face_a, pair.face_b)}
     classes = collections.Counter()
@@ -326,28 +296,8 @@ def gluing_valences(g: CubeGluing, choice: BlockChoice, q: QuotientComplex) -> t
 
 @functools.cache
 def _block_instance(kind: BlockKind, corner_perm: tuple[int, ...]):
-    """The block `kind` carried by the cube symmetry with this corner
-    permutation, built on first use.  Returns its tetrahedra (corner ids in
-    increasing order, so slot i is the i-th smallest corner), the rows of
-    its internal gluings with None on every boundary face, and per face
-    index the face's two boundary triangles as {the face corner the
-    triangle misses: (tet, slot)}.
-
-    A corner triple held by two tetrahedra is an internal triangle, glued
-    corner to corner; one held once is a boundary triangle."""
-    tets = tuple(tuple(sorted(corner_perm[c] for c in tet)) for tet in _BLOCK_TETS[kind])
-    owners: dict[frozenset[int], list[tuple[int, int]]] = {}
-    for t, tet in enumerate(tets):
-        for slot, corner in enumerate(tet):
-            owners.setdefault(frozenset(tet) - {corner}, []).append((t, slot))
-    rows: list[list] = [[None] * 4 for _ in tets]
-    boundary: list[dict[int, tuple[int, int]]] = [{} for _ in FACES]
-    for triangle, held in owners.items():
-        if len(held) == 2:
-            _glue(rows, tets, *held, range(8))
-        else:
-            (held_once,) = held
-            face = next(f for f in FACES if triangle < set(CHARTS[f]))
-            (missed,) = set(CHARTS[face]) - triangle
-            boundary[face.index][missed] = held_once
-    return tets, tuple(map(tuple, rows)), tuple(boundary)
+    """The tetrahedra of block `kind` carried by the cube symmetry with this
+    corner permutation, built on first use: slot i of a tetrahedron holds
+    its i-th smallest corner, as a point of `glue_cubes`."""
+    return tuple(tuple(frozenset((c,)) for c in sorted(corner_perm[c] for c in tet))
+                 for tet in _BLOCK_TETS[kind])

@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .algebra import IntegerMatrix
-from .triangulation import Triangulation, class_roots
+from .triangulation import Triangulation, class_roots, perm_inverse
 
 CORNER_COORDS = tuple((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1))
 
@@ -179,7 +179,11 @@ class GluingPair:
         return GluingPair(self.face_b, self.face_a, sym)
 
     def normalised(self) -> "GluingPair":
-        return self if self.face_a < self.face_b else self.swapped()
+        """The pair written from its smaller face; a face paired with itself
+        is written with the smaller symmetry name, as the pair codes are."""
+        if self.face_a != self.face_b:
+            return self if self.face_a < self.face_b else self.swapped()
+        return min(self, self.swapped(), key=lambda p: str(p.sym))
 
     def __str__(self) -> str:
         return f"{self.face_a} {self.face_b} {self.sym}"
@@ -210,8 +214,8 @@ class CubeGluing:
         return " / ".join(str(p) for p in self.pairs)
 
     def sort_key(self):
-        # pairs by (faceA, faceB), then lexicographic on the symmetry
-        # encoding, matching the order of serialized class ids
+        # pairs by (faceA, faceB) in face order +x, -x, +y, -y, +z, -z, then by
+        # symmetry name; class id strings sort `+x +y` before `+x -x` instead
         return tuple((p.face_a.index, p.face_b.index, str(p.sym))
                      for p in self.pairs)
 
@@ -408,7 +412,68 @@ def quotient_chain_complex(q: QuotientComplex):
             IntegerMatrix.from_columns(len(vertex), d1_cols))
 
 
-# -- cone subdivision --------------------------------------------------------
+# -- triangulated cubes -------------------------------------------------------
+
+def glue_cubes(spec: CubulationSpec, tets: tuple[tuple[frozenset[int], ...], ...]) -> Triangulation:
+    """Cut every cube of spec into the tetrahedra `tets`, each four cube
+    points in slot order, and glue them up; cube c holds tetrahedra
+    c * len(tets) onwards.  A point is the set of corners it is the centre
+    of, so a corner map acts on every point alike.  A triangle held by two
+    tetrahedra is glued point to point, and one held once to the triangle
+    of face_b that holds its image; if none does, the cut does not match."""
+    n, internal = len(tets), _cut_table(tets)[0]
+    gl = [[None] * 4 for _ in range(n * spec.cube_count)]
+    glued = [(c, c, internal) for c in range(spec.cube_count)]
+    glued += [(cube_a, cube_b, _cut_matches(pair, tets)) for cube_a, cube_b, pair in spec.pairs]
+    for cube_a, cube_b, matches in glued:
+        for t, f, t2, f2, perm, inverse in matches:
+            t, t2 = n * cube_a + t, n * cube_b + t2
+            gl[t][f] = ((t2, f2), perm)
+            gl[t2][f2] = ((t, f), inverse)
+    return Triangulation(gl)
+
+
+def _match(tets, t: int, f: int, t2: int, f2: int, cmap) -> tuple:
+    """(t, f, t2, f2, p, p⁻¹): the slot map p glues face f of tet t to face
+    f2 of tet t2, each point to its image under the corner map `cmap`."""
+    perm = tuple(f2 if slot == f else tets[t2].index(frozenset(cmap[c] for c in point))
+                 for slot, point in enumerate(tets[t]))
+    return t, f, t2, f2, perm, perm_inverse(perm)
+
+
+@functools.cache
+def _cut_table(tets):
+    """One cube cut into `tets`: the matches of its internal triangles, and
+    per face index its boundary triangles as {triangle: (tet, face)}."""
+    holders: dict[frozenset, list[tuple[int, int]]] = {}
+    for t, tet in enumerate(tets):
+        for f in range(4):
+            holders.setdefault(frozenset(tet[:f] + tet[f + 1:]), []).append((t, f))
+    internal, boundary = [], [{} for _ in FACES]
+    for triangle, held in holders.items():
+        if len(held) == 2:
+            internal.append(_match(tets, *held[0], *held[1], range(8)))
+        else:
+            (face,) = [face for face in FACES
+                       if all(point <= frozenset(CHARTS[face]) for point in triangle)]
+            boundary[face.index][triangle] = held[0]
+    return tuple(internal), tuple(boundary)
+
+
+@functools.cache
+def _cut_matches(pair: GluingPair, tets) -> tuple[tuple, ...]:
+    """The matches of the boundary triangles that the pair glues, face_a's
+    first.  A cut that does not match the pair raises AssertionError."""
+    boundary = _cut_table(tets)[1]
+    cmap = pair.corner_map()
+    matches = []
+    for triangle, (t, f) in boundary[pair.face_a.index].items():
+        image = frozenset(frozenset(cmap[c] for c in point) for point in triangle)
+        if image not in boundary[pair.face_b.index]:
+            raise AssertionError(f"the cut does not match {pair.face_a} to {pair.face_b}")
+        matches.append(_match(tets, t, f, *boundary[pair.face_b.index][image], cmap))
+    return tuple(matches)
+
 
 def cone_subdivide(spec: CubulationSpec) -> Triangulation:
     """Cone each cube from its centre over the fully subdivided boundary.
@@ -423,48 +488,14 @@ def cone_subdivide(spec: CubulationSpec) -> Triangulation:
     edges.  The census does not use it: it is the independent check of
     `is_closed_manifold` and of the cube-complex homology.
 
-    Each cube copies one cube's 48 rows of internal gluings
-    (`_cone_cube_rows`), and each boundary triangle of face_a is glued to
-    the one whose corner and edge the pair's corner map gives
-    (`_cone_matches`).  Every gluing matches slot to slot.
+    `glue_cubes` glues the cut `_CONE_TETS`; a corner map keeps each
+    point's kind, so every gluing matches slot to slot.
     """
-    identity = (0, 1, 2, 3)
-    gl: list[list] = []
-    for cube in range(spec.cube_count):
-        base = 48 * cube
-        gl += [[((base + t2, f2), identity) for t2, f2 in row] + [None]
-               for row in _cone_cube_rows()]
-    for cube_a, cube_b, pair in spec.pairs:
-        for t, t2 in _cone_matches(pair):
-            t, t2 = 48 * cube_a + t, 48 * cube_b + t2
-            gl[t][3] = ((t2, 3), identity)
-            gl[t2][3] = ((t, 3), identity)
-    return Triangulation(gl)
-
-
-@functools.cache
-def _cone_cube_rows() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per tetrahedron of one cube's cone, the (tet, face) glued to its
-    faces 0, 1 and 2; face 3 lies on the cube's boundary."""
-    rows = [[None] * 3 for _ in range(48)]
-    for (t1, f1), (t2, f2) in _CONE_INTERNAL:
-        rows[t1][f1] = (t2, f2)
-        rows[t2][f2] = (t1, f1)
-    return tuple(map(tuple, rows))
-
-
-@functools.cache
-def _cone_matches(pair: GluingPair) -> tuple[tuple[int, int], ...]:
-    """The 8 pairs (t, t2) of cone tetrahedra whose boundary faces the pair
-    glues: t on face_a and t2 on face_b, numbered within their cubes."""
-    cmap = pair.corner_map()
-    image = _CONE_BOUNDARY[str(pair.face_b)]
-    return tuple((t, image[cmap[corner], tuple(sorted((cmap[u], cmap[v])))])
-                 for (corner, (u, v)), t in _CONE_BOUNDARY[str(pair.face_a)].items())
+    return glue_cubes(spec, _CONE_TETS)
 
 
 def subdivision_vertex_label(tet: int, slot: int):
-    """Human-readable label of a subdivision vertex slot, read at import for `_CONE_ORDER`."""
+    """Human-readable label of a subdivision vertex slot, read at import."""
     rest, h = divmod(tet, 2)
     rest, k = divmod(rest, 4)
     cube, face_idx = divmod(rest, 6)
@@ -479,23 +510,13 @@ def subdivision_vertex_label(tet: int, slot: int):
     return ("cube centre", cube)
 
 
-def _one_cone():
-    """One cube's 48 cone tetrahedra, read off their vertex labels.  The
-    (tet, face) pairs that hold each internal triangle (faces 0, 1 and 2,
-    opposite the corner, midpoint and square centre), and, per cube face,
-    its 8 boundary tetrahedra keyed by their corner and edge."""
-    holders: dict[tuple, list[tuple[int, int]]] = {}
-    boundary: dict[str, dict[tuple, int]] = {}
-    for tet in range(48):
-        labels = tuple(subdivision_vertex_label(tet, slot) for slot in range(4))
-        for f in range(3):
-            holders.setdefault(labels[:f] + labels[f + 1:], []).append((tet, f))
-        (_, _, corner), (_, _, edge), (_, _, face), _ = labels
-        boundary.setdefault(face, {})[corner, edge] = tet
-    return tuple(holders.values()), boundary
-
-
-_CONE_INTERNAL, _CONE_BOUNDARY = _one_cone()
+# One cube's 48 cone tetrahedra, read off their vertex labels: slot 0 a
+# corner, 1 an edge midpoint, 2 a square centre and 3 the cube centre.
+_CONE_TETS = tuple(
+    (frozenset((corner,)), frozenset(edge), frozenset(CHARTS[Face.from_str(face)]),
+     frozenset(range(8)))
+    for (_, _, corner), (_, _, edge), (_, _, face), _ in (
+        [subdivision_vertex_label(tet, slot) for slot in range(4)] for tet in range(48)))
 
 
 # -- manifold test -----------------------------------------------------------

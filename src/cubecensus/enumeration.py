@@ -204,7 +204,8 @@ def canonical_form(g: CubeGluing) -> CanonicalGluing:
 
 
 def enumerate_canonical(opposite_only: bool = False) -> list[CanonicalGluing]:
-    """One representative per symmetry class, sorted by serialization."""
+    """One representative per symmetry class, in `CubeGluing.sort_key` order
+    (faces ordered +x, -x, +y, -y, +z, -z), not the string order of class ids."""
     classes = []
     visited: set[tuple[int, int, int]] = set()
     for matching in _OPPOSITE_MATCHING if opposite_only else _FACE_MATCHINGS:

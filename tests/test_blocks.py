@@ -28,11 +28,17 @@ from cubecensus.cube_complex import (
     CHARTS,
     CORNER_COORDS,
     FACES,
+    CubulationSpec,
+    GluingPair,
+    SquareSymmetry,
     build_quotient,
     cone_subdivide,
+    double_cover,
+    glue_cubes,
     is_closed_manifold,
     parse_gluing_text,
     quotient_chain_complex,
+    quotient_is_orientable,
 )
 from cubecensus.census import run_census
 from cubecensus.enumeration import ALL_CUBE_SYMMETRIES, enumerate_raw
@@ -333,3 +339,34 @@ def test_each_block_image_is_instantiated_once(raw_manifold_gluings):
         assemble_triangulation(g)
     used = {(c.kind, c.symmetry) for c in map(select_block, raw_manifold_gluings)}
     assert _block_instance.cache_info().currsize == len(used) == 19 <= len(_block_images())
+
+
+def test_block_glues_the_double_cover_of_every_nonorientable_gluing(raw_manifold_gluings):
+    # cube c of a cover holds tetrahedra c * tet_count onwards; the base
+    # gluing's block matches every pair of its cover, whose H1 the cells give
+    covers = 0
+    for g in raw_manifold_gluings:
+        spec = g.to_spec()
+        if quotient_is_orientable(spec):
+            continue
+        choice = select_block(g)
+        cover = double_cover(spec)
+        tri = glue_cubes(cover, _block_instance(choice.kind, choice.symmetry.corner_perm))
+        assert tri.tet_count == 2 * choice.kind.tet_count
+        assert tri.all_links_are_spheres() and tri.is_orientable(), str(g)
+        h1_cells = h1_of_chain_complex(*quotient_chain_complex(build_quotient(cover)))
+        assert h1_of_chain_complex(*tri.chain_complex()) == h1_cells, str(g)
+        covers += 1
+    assert covers == 255
+
+
+def test_five_tetrahedron_block_glues_the_double_of_the_cube_into_a_sphere():
+    # each face of cube 0 glued to the same face of cube 1 by r0m, whose
+    # corner map is the identity and so keeps every diagonal
+    sym = SquareSymmetry.from_str("r0m")
+    spec = CubulationSpec(2, tuple((0, 1, GluingPair(f, f, sym)) for f in FACES))
+    tri = glue_cubes(spec, _block_instance(BlockKind.FIVE_TETRAHEDRON, tuple(range(8))))
+    assert tri.tet_count == 10
+    assert tri.all_links_are_spheres() and tri.is_orientable()
+    h1 = h1_of_chain_complex(*tri.chain_complex())
+    assert (h1.rank, h1.torsion) == (0, ())

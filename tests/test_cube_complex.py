@@ -260,6 +260,19 @@ def test_pair_swap_is_the_inverse_identification():
             assert back.corner_map() == {v: k for k, v in cmap.items()}, str(pair)
 
 
+def test_normalised_is_idempotent_and_blind_to_the_side_written_from():
+    # a face paired with itself is written with the smaller symmetry name;
+    # swapping alone would turn `+x +x r1m` into `+x +x r3m` and back
+    for face_a, face_b in itertools.product(FACES, repeat=2):
+        for sym in ALL_SQUARE_SYMMETRIES:
+            pair = GluingPair(face_a, face_b, sym)
+            norm = pair.normalised()
+            assert norm.normalised() == norm == pair.swapped().normalised(), str(pair)
+            assert norm.face_a.index <= norm.face_b.index
+    pair = GluingPair(Face(0, 1), Face(0, 1), SquareSymmetry.from_str("r3m"))
+    assert str(pair.normalised()) == "+x +x r1m"
+
+
 # -- quotients against the closure oracle -----------------------------------------
 
 
